@@ -16,6 +16,8 @@ from typing import Optional, Sequence
 from . import __version__
 from .dielectric import ApproachVariant, IdealMetal, Plasma
 from .lifshitz import (
+    DEFAULT_MATSUBARA,
+    DEFAULT_QUADRATURE,
     ConvergenceError,
     MatsubaraSpec,
     ParallelPlates,
@@ -28,7 +30,7 @@ from .lifshitz import (
 from .perturbative import (
     plate_force_perturbative,
     sphere_force_perturbative,
-    te_zero_frequency_asymptotic,
+    te_zero_frequency_asymptotic,  # noqa: F401  (perfbench's tracer wraps cli's copy)
 )
 from .quantities import CODATA2018
 from .scenarios import (
@@ -87,9 +89,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=str, default=None, help="key = value config file")
     p.add_argument("--output", type=str, default=None, help="output path (default stdout)")
     p.add_argument("--tail-tol", type=float, default=None,
-                   help="Matsubara tail tolerance (default 1e-9)")
+                   help="Matsubara tail tolerance, in (0, 1): the sum stops at the first "
+                        "order below it relative to the partial sum (default 1e-9)")
     p.add_argument("--quad-tol", type=float, default=None,
-                   help="quadrature relative tolerance (default 1e-9)")
+                   help="quadrature tolerance, in (0, 1): bounds each order's change on "
+                        "halving the integration step, relative to that order (default 1e-9)")
 
 
 def _add_a_grid(p: argparse.ArgumentParser) -> None:
@@ -130,11 +134,23 @@ def build_parser() -> _Parser:
 
 
 def _resolve_precision(args: argparse.Namespace) -> tuple[MatsubaraSpec, QuadratureSpec]:
+    """Specs from --tail-tol/--quad-tol, else from CASIMIR_DELTA_PRECISION,
+    else the defaults. A set environment value is checked even where both
+    flags override it; a bad value is a usage error."""
+    matsubara, quadrature = DEFAULT_MATSUBARA, DEFAULT_QUADRATURE
     env = os.environ.get(PRECISION_ENV)
-    base = float(env) if env else 1e-9
-    tail = args.tail_tol if getattr(args, "tail_tol", None) is not None else base
-    qtol = args.quad_tol if getattr(args, "quad_tol", None) is not None else base
-    return MatsubaraSpec(relative_tail_tolerance=tail), QuadratureSpec(relative_tolerance=qtol)
+    if env:
+        try:
+            base = float(env)
+            matsubara = MatsubaraSpec(relative_tail_tolerance=base)
+            quadrature = QuadratureSpec(relative_tolerance=base)
+        except ValueError as exc:
+            raise UsageError(f"{PRECISION_ENV}={env!r}: {exc}") from exc
+    if args.tail_tol is not None:
+        matsubara = MatsubaraSpec(relative_tail_tolerance=args.tail_tol)
+    if args.quad_tol is not None:
+        quadrature = QuadratureSpec(relative_tolerance=args.quad_tol)
+    return matsubara, quadrature
 
 
 def _resolved_config(args: argparse.Namespace, keys: Sequence[str]) -> dict:
@@ -227,13 +243,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     def force(T: float):
         if args.geometry == "plates":
             return plate_force_perturbative(a, T, lam)
-        res = sphere_force_perturbative(a, T, R, lam)
-        if approach is ApproachVariant.MODIFIED_TE:
-            value = res.value - te_zero_frequency_asymptotic(a, T, R, lam)
-            res = type(res)(value=value, geometry=res.geometry, method=res.method,
-                            approach=approach, validity=res.validity,
-                            terms=res.terms, notes=res.notes)
-        return res
+        return sphere_force_perturbative(a, T, R, lam, approach)
 
     f1, f2 = force(pair.T1), force(pair.T2)
     if args.geometry == "plates":
@@ -255,6 +265,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
             "conductivity_first_order": _round9(f2.terms.conductivity_first_order),
             "conductivity_higher_order": _round9(f2.terms.conductivity_higher_order),
             "cross_term": _round9(f2.terms.cross_term),
+            "zero_frequency_te": _round9(f2.terms.zero_frequency_te),
         },
         "notes": list(f2.notes),
         "validity_warnings": list(diff.validity.warnings),

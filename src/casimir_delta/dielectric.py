@@ -8,6 +8,8 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
+
 from .quantities import Constants, CODATA2018
 
 
@@ -71,6 +73,39 @@ def permittivity_imaginary(model: MetalModel, xi: float, constants: Constants = 
     return 1.0 + (wp / xi) ** 2
 
 
+def fresnel_coefficients(
+    model: MetalModel,
+    u,
+    y,
+    length: float,
+    approach: ApproachVariant = ApproachVariant.PLASMA_ZERO_FREQUENCY,
+    constants: Constants = CODATA2018,
+):
+    """Fresnel coefficients (r_TM, r_TE) on the imaginary axis, array-valued.
+
+    The variables are dimensionless in units of a length L (the engine uses
+    L = 2a): u = L*xi/c and y = L*q with q = sqrt(k_perp^2 + xi^2/c^2) >= xi/c;
+    u and y broadcast against each other. With w = L*omega_p/c the wave number
+    in the metal is L*k = sqrt(y^2 + w^2) at every frequency, including 0, and
+    eps(i*xi) = 1 + w^2/u^2. Both coefficients are written without the
+    cancellations of (q - k)/(q + k) and (eps*q - k)/(eps*q + k):
+    r_TE = -w^2/p^2 and r_TM = w^2 (y - u^2/p)/(u^2 p + w^2 y), p = y + L*k,
+    so r_TM is exactly 1 at u = 0. IdealMetal gives (1, -1). MODIFIED_TE
+    sets r_TE to 0 where u = 0.
+    """
+    if isinstance(model, IdealMetal):
+        r_tm, r_te = 1.0, -1.0
+    else:
+        w2 = (length * model.plasma_frequency(constants) / constants.c) ** 2
+        p = y + (y * y + w2) ** 0.5  # not np.sqrt: Python floats stay floats
+        u2 = u * u
+        r_te = -w2 / (p * p)
+        r_tm = w2 * (y - u2 / p) / (u2 * p + w2 * y)
+    if approach is ApproachVariant.MODIFIED_TE:
+        r_te = np.where(u == 0.0, 0.0, r_te)
+    return r_tm, r_te
+
+
 def reflection_coefficients(
     model: MetalModel,
     xi: float,
@@ -79,7 +114,8 @@ def reflection_coefficients(
 ) -> ReflectionPair:
     """Fresnel coefficients on the imaginary axis for a metal half-space.
 
-    With q = sqrt(k_perp^2 + xi^2/c^2), the plasma model gives
+    Scalar form of fresnel_coefficients in SI (L = 1 m): with
+    q = sqrt(k_perp^2 + xi^2/c^2), the plasma model gives
     k = sqrt(q^2 + omega_p^2/c^2) for any xi (including 0), so
     r_TE = (q - k)/(q + k) and r_TM = (eps*q - k)/(eps*q + k), with the
     analytic limit r_TM -> 1 at xi = 0.
@@ -88,18 +124,8 @@ def reflection_coefficients(
         raise ValueError("xi and k_perp must be non-negative")
     if xi == 0.0 and k_perp == 0.0:
         raise ValueError("xi and k_perp must not both be zero")
-
-    if isinstance(model, IdealMetal):
-        return ReflectionPair(r_TM=1.0, r_TE=-1.0)
-
-    c = constants.c
-    wp = model.plasma_frequency(constants)
-    q = math.sqrt(k_perp * k_perp + (xi / c) ** 2)
-    k = math.sqrt(q * q + (wp / c) ** 2)
-    r_te = (q - k) / (q + k)
-    if xi == 0.0:
-        r_tm = 1.0
-    else:
-        eps = permittivity_imaginary(model, xi, constants)
-        r_tm = (eps * q - k) / (eps * q + k)
-    return ReflectionPair(r_TM=r_tm, r_TE=r_te)
+    u = xi / constants.c
+    r_tm, r_te = fresnel_coefficients(
+        model, u, math.sqrt(k_perp * k_perp + u * u), 1.0, constants=constants
+    )
+    return ReflectionPair(r_TM=float(r_tm), r_TE=float(r_te))

@@ -42,12 +42,16 @@ ASYMPTOTIC_RANGE_NOTE = (
 
 @dataclass(frozen=True)
 class PerturbativeTerms:
-    """Term-by-term decomposition of the relative correction.
+    """Term-by-term decomposition of a perturbative force.
 
     total correction factor = 1 + thermal_ideal + conductivity_first_order
     + conductivity_higher_order + cross_term; `base` is the zero-temperature
     ideal-metal force the factor multiplies. conductivity_higher_order holds
     the temperature-independent second- and third-order terms in delta/a.
+    zero_frequency_te is a force, not a relative term: the asymptotic
+    zero-frequency TE sphere term that the modified-TE prescription leaves
+    out, so total = base * correction_factor - zero_frequency_te. It is 0
+    under the plasma prescription.
     """
 
     base: float
@@ -55,6 +59,7 @@ class PerturbativeTerms:
     conductivity_first_order: float
     conductivity_higher_order: float
     cross_term: float
+    zero_frequency_te: float = 0.0
 
     @property
     def correction_factor(self) -> float:
@@ -65,7 +70,7 @@ class PerturbativeTerms:
 
     @property
     def total(self) -> float:
-        return self.base * self.correction_factor
+        return self.base * self.correction_factor - self.zero_frequency_te
 
 
 def plate_force_perturbative(
@@ -114,13 +119,16 @@ def sphere_force_perturbative(
     T: Temperature | float,
     R: float,
     lambda_p: float,
+    approach: ApproachVariant = ApproachVariant.PLASMA_ZERO_FREQUENCY,
     constants: Constants = CODATA2018,
 ) -> ForceResult:
     """Sphere-plate force, N.
 
     F0 * {1 + (45 zeta3/pi^3)t^3 - t^4 - 4d[1 - (45 zeta3/(2 pi^3))t^3 + t^4]
           + (72/5) d^2 - (320/7)(1 - pi^2/210) d^3}
-    with F0 = -pi^3 hbar c R/(360 a^3).
+    with F0 = -pi^3 hbar c R/(360 a^3). Under MODIFIED_TE the asymptotic
+    zero-frequency TE term (te_zero_frequency_asymptotic) is subtracted and
+    kept in terms.zero_frequency_te.
     """
     a_m = a.a if isinstance(a, Separation) else Separation(a).a
     T_k = T.T if isinstance(T, Temperature) else Temperature(T).T
@@ -140,12 +148,16 @@ def sphere_force_perturbative(
             (72.0 / 5.0) * d ** 2 - (320.0 / 7.0) * (1.0 - pi ** 2 / 210.0) * d ** 3
         ),
         cross_term=4.0 * d * ((45.0 * z3 / (2.0 * pi ** 3)) * t ** 3 - t ** 4),
+        zero_frequency_te=(
+            te_zero_frequency_asymptotic(a_m, T_k, R, lambda_p, constants)
+            if approach is ApproachVariant.MODIFIED_TE else 0.0
+        ),
     )
     return ForceResult(
         value=terms.total,
         geometry=geometry,
         method=Method.PERTURBATIVE,
-        approach=ApproachVariant.PLASMA_ZERO_FREQUENCY,
+        approach=approach,
         validity=classify_validity(a_m, T_k, T_k, lambda_p),
         terms=terms,
         notes=(OMITTED_REMAINDER_NOTE,) if lambda_p > 0.0 else (),

@@ -75,7 +75,8 @@ def check_thermal_correction_percentages(constants: Constants = CODATA2018) -> l
         return plate_force_perturbative(a, 300.0, 0.0, constants).terms.thermal_ideal
 
     def sphere_corr(a: float) -> float:
-        return sphere_force_perturbative(a, 300.0, 1e-3, 0.0, constants).terms.thermal_ideal
+        res = sphere_force_perturbative(a, 300.0, 1e-3, 0.0, constants=constants)
+        return res.terms.thermal_ideal
 
     for check_id, value, target in [
         ("pp-thermal-1um=0.16pct", plate_corr(1e-6), 0.0016),

@@ -89,8 +89,21 @@ class TestCompute:
         assert rc == 0
         rec = json.loads(out)
         assert rec["units"] == "N"
-        assert rec["delta_F"] == pytest.approx(-9.6e-14, rel=0.05)
+        assert rec["delta_F"] == pytest.approx(-9.6e-14, rel=0.05, abs=0)
         assert rec["validity_warnings"] == []
+
+    def test_modified_te_terms_reproduce_force(self, capsys):
+        rc, out, _ = run(capsys, "compute", "--approach", "modified-te")
+        assert rc == 0
+        rec = json.loads(out)
+        t = rec["terms_T2"]
+        total = t["base"] * (
+            1.0 + t["thermal_ideal"] + t["conductivity_first_order"]
+            + t["conductivity_higher_order"] + t["cross_term"]
+        ) - t["zero_frequency_te"]
+        assert t["zero_frequency_te"] < 0.0
+        # each printed field carries 9 significant digits
+        assert total == pytest.approx(rec["force_T2"], rel=1e-7, abs=0)
 
     def test_oracle_deviation_small(self, capsys):
         rc, out, _ = run(capsys, "compute", "--geometry", "plates", "--a-um", "0.7", "--oracle")
@@ -121,6 +134,42 @@ class TestCompute:
         assert rc == 0
         rec = json.loads(out)
         assert rec["oracle"]["tail_tolerance"] == 1e-6
+
+
+class TestTolerances:
+    @pytest.mark.parametrize("flag,value", [
+        ("--quad-tol", "-1"), ("--quad-tol", "0"), ("--quad-tol", "nan"),
+        ("--tail-tol", "nan"), ("--tail-tol", "1"), ("--tail-tol", "inf"),
+    ])
+    def test_bad_tolerance_is_usage_error(self, capsys, flag, value):
+        rc, out, err = run(capsys, "compute", "--oracle", "--geometry", "plates", flag, value)
+        assert rc == 1
+        assert out == ""
+        assert "must be finite and in (0, 1)" in err
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "abc"])
+    def test_bad_precision_env_is_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("CASIMIR_DELTA_PRECISION", value)
+        rc, out, err = run(capsys, "compute", "--oracle", "--geometry", "plates")
+        assert rc == 1
+        assert out == ""
+        assert "CASIMIR_DELTA_PRECISION" in err
+
+    def test_bad_precision_env_rejected_under_explicit_flags(self, capsys, monkeypatch):
+        monkeypatch.setenv("CASIMIR_DELTA_PRECISION", "-1")
+        rc, _, err = run(capsys, "compute", "--oracle", "--geometry", "plates",
+                         "--tail-tol", "1e-9", "--quad-tol", "1e-9")
+        assert rc == 1
+        assert "CASIMIR_DELTA_PRECISION" in err
+
+    def test_unreachable_quadrature_tolerance_is_numerical_error(self, capsys):
+        # valid, but below double-precision rounding: the step refinement
+        # runs out of levels and reports it instead of looping
+        rc, out, err = run(capsys, "compute", "--oracle", "--geometry", "plates",
+                           "--quad-tol", "1e-17")
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("numerical error:")
 
 
 class TestConfigFile:

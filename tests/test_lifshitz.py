@@ -1,18 +1,19 @@
 import math
 
+import numpy as np
 import pytest
 
 from casimir_delta.dielectric import (
     ApproachVariant,
     IdealMetal,
     Plasma,
+    fresnel_coefficients,
     reflection_coefficients,
 )
 from casimir_delta.lifshitz import (
     ConvergenceError,
     MatsubaraSpec,
     QuadratureSpec,
-    _reflectivity_squares,
     matsubara_frequency,
     plate_free_energy_per_area,
     plate_pressure,
@@ -44,13 +45,78 @@ class TestIdealMetalLimits:
         a = 1e-6
         e = plate_free_energy_per_area(a, 1.0, IdealMetal(), matsubara=COLD)
         ref = -math.pi ** 2 * CODATA2018.hbar * CODATA2018.c / (720.0 * a ** 3)
-        assert e == pytest.approx(ref, rel=1e-3)
+        assert e == pytest.approx(ref, rel=1e-3, abs=0)
 
     def test_sphere_force_zero_temperature(self):
         a, R = 1e-6, 1e-3
         f = sphere_plate_force_pfa(a, 1.0, R, IdealMetal(), matsubara=COLD)
         ref = -math.pi ** 3 * CODATA2018.hbar * CODATA2018.c * R / (360.0 * a ** 3)
-        assert f == pytest.approx(ref, rel=1e-3)
+        assert f == pytest.approx(ref, rel=1e-3, abs=0)
+
+
+ZETA3 = 1.2020569031595943
+
+
+def exact_ideal_sums(a, T, modified_te):
+    """Exact Lifshitz free energy per area and pressure for |r| = 1, J/m^2 and N/m^2.
+
+    With y = 2aq, F = k_B T/(8 pi a^2) Sum'_n Sum_p Int_{y_n}^inf y ln(1 - e^-y) dy
+    and P = -k_B T/(8 pi a^3) Sum'_n Sum_p Int_{y_n}^inf y^2/(e^y - 1) dy, y_n = n y1.
+    Expanding in e^-ky, each order's integral is a series of exponentials,
+      Int_x^inf y e^-ky dy = e^-kx (x/k + 1/k^2),
+      Int_x^inf y^2 e^-ky dy = e^-kx (x^2/k + 2x/k^2 + 2/k^3),
+    and the sum over n >= 1 is geometric in z = e^-k y1. The n = 0 orders give
+    -zeta(3) and 2 zeta(3) per polarization; they carry weight 1/2, and the
+    modified-TE prescription drops the TE one. The k sum is cut where
+    k y1 > 60 (relative remainder ~e^-60).
+    """
+    kT = CODATA2018.k_B * T
+    y1 = 4.0 * math.pi * a * kT / (CODATA2018.hbar * CODATA2018.c)
+    k = np.arange(1, int(60.0 / y1) + 2, dtype=float)
+    one_minus_z = -np.expm1(-k * y1)
+    z = 1.0 - one_minus_z
+    # n = 0 carries weight 1/2 for each polarization it keeps: two, or one
+    zero_weight = 0.5 if modified_te else 1.0
+    energy_rest = np.sum(y1 / k ** 2 * z / one_minus_z ** 2 + z / (k ** 3 * one_minus_z))
+    pressure_rest = np.sum(
+        y1 ** 2 / k * z * (1.0 + z) / one_minus_z ** 3
+        + 2.0 * y1 / k ** 2 * z / one_minus_z ** 2
+        + 2.0 * z / (k ** 3 * one_minus_z)
+    )
+    energy = -(zero_weight * ZETA3 + 2.0 * energy_rest)
+    pressure = zero_weight * 2.0 * ZETA3 + 2.0 * pressure_rest
+    return (kT / (8.0 * math.pi * a ** 2) * energy,
+            -kT / (8.0 * math.pi * a ** 3) * pressure)
+
+
+class TestIdealMetalExactSums:
+    """The engine itself against the exact |r| = 1 Matsubara sums, at the
+    band its tolerances allow: the tail rule leaves about one tail tolerance
+    and each order's quadrature one quadrature tolerance."""
+
+    @pytest.mark.parametrize("a,T,matsubara", [
+        (0.15e-6, 300.0, MatsubaraSpec()),
+        (0.5e-6, 300.0, MatsubaraSpec()),
+        (2e-6, 300.0, MatsubaraSpec()),
+        (1e-6, 1.0, COLD),
+    ])
+    @pytest.mark.parametrize("approach", [PLASMA, MOD_TE])
+    def test_energy_and_pressure(self, a, T, matsubara, approach):
+        band = 2.0 * (matsubara.relative_tail_tolerance + QuadratureSpec().relative_tolerance)
+        energy, pressure = exact_ideal_sums(a, T, approach is MOD_TE)
+        got_energy = plate_free_energy_per_area(a, T, IdealMetal(), approach, matsubara)
+        got_pressure = plate_pressure(a, T, IdealMetal(), approach, matsubara)
+        assert got_energy == pytest.approx(energy, rel=band, abs=0)
+        assert got_pressure == pytest.approx(pressure, rel=band, abs=0)
+
+    def test_exact_sums_at_zero_temperature(self):
+        # the exact sums themselves: at 1 K and 1 um the thermal parts are
+        # ~(T/T_eff)^3 ~ 1e-9 of the Casimir energy and pressure
+        a = 1e-6
+        energy, pressure = exact_ideal_sums(a, 1.0, False)
+        hc = CODATA2018.hbar * CODATA2018.c
+        assert energy == pytest.approx(-math.pi ** 2 * hc / (720.0 * a ** 3), rel=1e-8, abs=0)
+        assert pressure == pytest.approx(-math.pi ** 2 * hc / (240.0 * a ** 4), rel=1e-8, abs=0)
 
 
 class TestPlasmaEngine:
@@ -104,7 +170,7 @@ class TestApproachDifference:
         f_plasma = sphere_plate_force_pfa(a, T, R, AU, PLASMA)
         f_mod = sphere_plate_force_pfa(a, T, R, AU, MOD_TE)
         direct = te_zero_frequency_sphere_term(a, T, R, 136e-9)
-        assert f_plasma - f_mod == pytest.approx(direct, rel=1e-9)
+        assert f_plasma - f_mod == pytest.approx(direct, rel=1e-9, abs=0)
 
     def test_ideal_metal_approaches_also_differ(self):
         e_plasma = plate_free_energy_per_area(1e-6, 300.0, IdealMetal(), PLASMA)
@@ -122,7 +188,7 @@ class TestProximityForce:
     def test_linear_in_radius(self):
         f1 = sphere_plate_force_pfa(0.5e-6, 300.0, 1e-3, AU)
         f2 = sphere_plate_force_pfa(0.5e-6, 300.0, 2e-3, AU)
-        assert f2 == pytest.approx(2.0 * f1, rel=1e-15)
+        assert f2 == pytest.approx(2.0 * f1, rel=1e-15, abs=0)
         assert f1 / 1e-3 == pytest.approx(f2 / 2e-3, rel=1e-15)
 
 
@@ -133,7 +199,7 @@ class TestZeroFrequencyTeTerm:
         a, T, R = 1e-6, 300.0, 1e-3
         val = te_zero_frequency_sphere_term(a, T, R, 1e-12)
         ref = -CODATA2018.k_B * T * CODATA2018.zeta3 * R / (8.0 * a * a)
-        assert val == pytest.approx(ref, rel=1e-6)
+        assert val == pytest.approx(ref, rel=1e-6, abs=0)
 
     def test_gold_matches_asymptotic_at_half_micron(self):
         a, T, R = 0.5e-6, 300.0, 1e-3
@@ -143,7 +209,7 @@ class TestZeroFrequencyTeTerm:
             * (1 - 4 * d + 12 * d * d)
         )
         val = te_zero_frequency_sphere_term(a, T, R, 136e-9)
-        assert val == pytest.approx(asym, rel=5e-3)
+        assert val == pytest.approx(asym, rel=5e-3, abs=0)
 
     def test_expansion_degrades_below_half_micron(self):
         T, R = 300.0, 1e-3
@@ -165,23 +231,23 @@ class TestEngineInternals:
     def test_reflectivity_matches_dielectric_module(self):
         a, T = 0.5e-6, 300.0
         for n in (0, 1, 5):
-            rsq = _reflectivity_squares(AU, PLASMA, n, T, a, CODATA2018)
             xi = matsubara_frequency(n, T)
             y_low = 2.0 * a * xi / CODATA2018.c
             for y in (y_low + 0.1, y_low + 2.0, y_low + 10.0):
                 q = y / (2.0 * a)
                 k_perp = math.sqrt(max(q * q - (xi / CODATA2018.c) ** 2, 0.0))
                 pair = reflection_coefficients(AU, xi, k_perp)
-                tm2, te2 = rsq(y)
-                assert tm2 == pytest.approx(pair.r_TM ** 2, rel=1e-12)
-                assert te2 == pytest.approx(pair.r_TE ** 2, rel=1e-12)
+                r_tm, r_te = fresnel_coefficients(AU, y_low, y, 2.0 * a)
+                assert r_tm ** 2 == pytest.approx(pair.r_TM ** 2, rel=1e-12)
+                assert r_te ** 2 == pytest.approx(pair.r_TE ** 2, rel=1e-12)
 
     def test_modified_te_zeroes_only_n0(self):
         a, T = 0.5e-6, 300.0
-        tm2, te2 = _reflectivity_squares(AU, MOD_TE, 0, T, a, CODATA2018)(1.0)
-        assert (tm2, te2) == (1.0, 0.0)
-        tm2, te2 = _reflectivity_squares(AU, MOD_TE, 1, T, a, CODATA2018)(3.0)
-        assert te2 > 0.0
+        r_tm, r_te = fresnel_coefficients(AU, 0.0, 1.0, 2.0 * a, MOD_TE)
+        assert (r_tm ** 2, r_te ** 2) == (1.0, 0.0)
+        y1 = 2.0 * a * matsubara_frequency(1, T) / CODATA2018.c
+        r_tm, r_te = fresnel_coefficients(AU, y1, 3.0, 2.0 * a, MOD_TE)
+        assert r_te ** 2 > 0.0
 
     def test_matsubara_frequency(self):
         xi1 = matsubara_frequency(1, 300.0)
@@ -195,6 +261,22 @@ class TestSpecValidation:
     def test_quadrature_spec_defaults(self):
         spec = QuadratureSpec()
         assert spec.relative_tolerance == 1e-9
+
+    @pytest.mark.parametrize("make", [
+        lambda: MatsubaraSpec(relative_tail_tolerance=0.0),
+        lambda: MatsubaraSpec(relative_tail_tolerance=1.0),
+        lambda: MatsubaraSpec(relative_tail_tolerance=math.nan),
+        lambda: MatsubaraSpec(max_terms=0),
+        lambda: MatsubaraSpec(max_terms=10.0),
+        lambda: MatsubaraSpec(max_terms=True),
+        lambda: QuadratureSpec(relative_tolerance=-1e-9),
+        lambda: QuadratureSpec(relative_tolerance=math.inf),
+        lambda: QuadratureSpec(absolute_floor=-1e-300),
+        lambda: QuadratureSpec(absolute_floor=math.nan),
+    ])
+    def test_bad_specs_rejected(self, make):
+        with pytest.raises(ValueError):
+            make()
 
     def test_domain_errors_propagate(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from casimir_delta.dielectric import ApproachVariant
 from casimir_delta.lifshitz import Method, ParallelPlates, SpherePlate
 from casimir_delta.perturbative import (
     OMITTED_REMAINDER_NOTE,
@@ -42,13 +43,22 @@ class TestPlateForce:
         assert plate_force_perturbative(1e-6, 300.0, 0.0).notes == ()
 
     def test_terms_sum_to_value(self):
-        res = plate_force_perturbative(0.5e-6, 300.0, 136e-9)
-        t = res.terms
-        expected = t.base * (
-            1.0 + t.thermal_ideal + t.conductivity_first_order
-            + t.conductivity_higher_order + t.cross_term
-        )
-        assert res.value == expected
+        # plates, and the sphere under both prescriptions
+        a, T, R, lam = 0.5e-6, 300.0, 1e-3, 136e-9
+        plasma = sphere_force_perturbative(a, T, R, lam, ApproachVariant.PLASMA_ZERO_FREQUENCY)
+        mod = sphere_force_perturbative(a, T, R, lam, ApproachVariant.MODIFIED_TE)
+        for res in (plate_force_perturbative(a, T, lam), plasma, mod):
+            t = res.terms
+            expected = t.base * (
+                1.0 + t.thermal_ideal + t.conductivity_first_order
+                + t.conductivity_higher_order + t.cross_term
+            ) - t.zero_frequency_te
+            assert res.value == expected
+        te = te_zero_frequency_asymptotic(a, T, R, lam)
+        assert plasma.terms.zero_frequency_te == 0.0
+        assert mod.terms.zero_frequency_te == te
+        assert mod.value == plasma.value - te
+        assert mod.approach is ApproachVariant.MODIFIED_TE
 
     def test_metadata(self):
         res = plate_force_perturbative(1e-6, 300.0, 136e-9)
@@ -75,7 +85,7 @@ class TestSphereForce:
     def test_linear_in_radius(self):
         f1 = sphere_force_perturbative(0.5e-6, 300.0, 1e-3, 136e-9).value
         f2 = sphere_force_perturbative(0.5e-6, 300.0, 2e-3, 136e-9).value
-        assert f2 == pytest.approx(2.0 * f1, rel=1e-15)
+        assert f2 == pytest.approx(2.0 * f1, rel=1e-15, abs=0)
 
     def test_thermal_correction_positive_when_cold(self):
         for a in (0.5e-6, 1e-6, 2e-6):
@@ -95,23 +105,23 @@ class TestTeZeroFrequencyAsymptotic:
         a, T, R = 0.5e-6, 300.0, 1e-3
         val = te_zero_frequency_asymptotic(a, T, R, 0.0)
         assert val == pytest.approx(
-            -CODATA2018.k_B * T * CODATA2018.zeta3 * R / (8.0 * a * a), rel=1e-15
+            -CODATA2018.k_B * T * CODATA2018.zeta3 * R / (8.0 * a * a), rel=1e-15, abs=0
         )
 
     def test_gold_value(self):
         # frozen direct evaluation: -(k_B 300 zeta3 R / 8 a^2)(1 - 4d + 12 d^2)
         val = te_zero_frequency_asymptotic(0.5e-6, 300.0, 1e-3, 136e-9)
-        assert val == pytest.approx(-2.1143405521708507e-12, rel=1e-12)
+        assert val == pytest.approx(-2.1143405521708507e-12, rel=1e-12, abs=0)
 
     def test_inverse_square_scaling(self):
         v1 = te_zero_frequency_asymptotic(0.5e-6, 300.0, 1e-3, 0.0)
         v2 = te_zero_frequency_asymptotic(1.0e-6, 300.0, 1e-3, 0.0)
-        assert v1 == pytest.approx(4.0 * v2, rel=1e-14)
+        assert v1 == pytest.approx(4.0 * v2, rel=1e-14, abs=0)
 
     def test_linear_in_temperature(self):
         v300 = te_zero_frequency_asymptotic(0.5e-6, 300.0, 1e-3, 136e-9)
         v150 = te_zero_frequency_asymptotic(0.5e-6, 150.0, 1e-3, 136e-9)
-        assert v300 == pytest.approx(2.0 * v150, rel=1e-14)
+        assert v300 == pytest.approx(2.0 * v150, rel=1e-14, abs=0)
 
 
 def test_domain_errors_propagate():

@@ -64,7 +64,7 @@ class TestSkinDepthParameter:
     )
     def test_linearity(self, lam, k):
         assert skin_depth_parameter(k * lam) == pytest.approx(
-            k * skin_depth_parameter(lam), rel=1e-12
+            k * skin_depth_parameter(lam), rel=1e-12, abs=0
         )
 
 

@@ -68,8 +68,8 @@ class TestDeltaForceSphere:
     def test_plasma_approach_gold_half_micron(self):
         # frozen direct evaluation; ~ -9.6e-14 N at R = 2 mm
         res = delta_force_sphere(0.5e-6, PAIR, 2e-3, AU_LP, PLASMA)
-        assert res.delta_F == pytest.approx(-9.635260838372865e-14, rel=1e-12)
-        assert res.delta_F / 2e-3 == pytest.approx(-4.8176304191864324e-11, rel=1e-12)
+        assert res.delta_F == pytest.approx(-9.635260838372865e-14, rel=1e-12, abs=0)
+        assert res.delta_F / 2e-3 == pytest.approx(-4.8176304191864324e-11, rel=1e-12, abs=0)
 
     def test_modified_te_flips_sign_and_dominates(self):
         plasma = delta_force_sphere(0.5e-6, PAIR, 2e-3, AU_LP, PLASMA).delta_F
