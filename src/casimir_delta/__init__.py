@@ -7,12 +7,11 @@ from .quantities import (
     CODATA2018,
     Constants,
     DerivedScales,
-    Separation,
-    Temperature,
     ValidityReport,
     classify_validity,
     derived_scales,
     effective_temperature,
+    positive,
     skin_depth_parameter,
 )
 from .dielectric import (
@@ -20,15 +19,12 @@ from .dielectric import (
     IdealMetal,
     MetalModel,
     Plasma,
-    ReflectionPair,
     permittivity_imaginary,
     reflection_coefficients,
 )
 from .lifshitz import (
     ConvergenceError,
-    ForceResult,
     MatsubaraSpec,
-    Method,
     ParallelPlates,
     QuadratureError,
     QuadratureSpec,
@@ -40,6 +36,7 @@ from .lifshitz import (
     te_zero_frequency_sphere_term,
 )
 from .perturbative import (
+    ForceResult,
     PerturbativeTerms,
     plate_force_perturbative,
     sphere_force_perturbative,

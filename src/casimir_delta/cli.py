@@ -64,36 +64,53 @@ def _round9(x: float) -> float:
     return float(_fmt(x))
 
 
-def _load_config_file(path: str) -> dict:
-    """key = value lines, '#' comments; keys match flag names with '-'->'_'."""
-    values: dict = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, _, val = line.partition("=")
-            values[key.strip().replace("-", "_")] = val.strip()
-    return values
+def _config_flags(args: argparse.Namespace) -> list[str]:
+    """The --config file's `key = value` lines as `--key=value` flags, so that
+    each value goes through its flag's type and choices. '#' starts a comment;
+    keys are flag names, with '-' or '_'. A true value sets a store_true flag."""
+    path = args.config
+    flags = []
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise UsageError(f"cannot read config file: {exc}") from exc
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        key, _, value = (part.strip() for part in line.partition("="))
+        dest = key.replace("-", "_")
+        if dest == "command" or not hasattr(args, dest):
+            raise UsageError(f"unknown config key {key!r}")
+        flag = "--" + dest.replace("_", "-")
+        if not isinstance(getattr(args, dest), bool):
+            flags.append(f"{flag}={value}")
+        elif value.lower() in ("1", "true", "yes"):
+            flags.append(flag)
+        elif value.lower() not in ("0", "false", "no"):
+            raise UsageError(f"{path}:{lineno}: {key} takes true or false, got {value!r}")
+    return flags
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--approach", choices=["plasma", "modified-te", "ideal"], default="plasma")
+def _add_common(p: argparse.ArgumentParser, approaches: Sequence[str]) -> None:
+    p.add_argument("--approach", choices=approaches, default="plasma")
     p.add_argument("--lambda-p-nm", type=float, default=136.0, help="plasma wavelength, nm")
     p.add_argument("--t1-k", type=float, default=300.0)
     p.add_argument("--t2-k", type=float, default=350.0)
     p.add_argument("--radius-mm", type=float, default=2.0)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--config", type=str, default=None, help="key = value config file")
+    p.add_argument("--config", type=str, default=None,
+                   help="file of key = value lines, read as --key=value flags before the explicit ones")
     p.add_argument("--output", type=str, default=None, help="output path (default stdout)")
-    p.add_argument("--tail-tol", type=float, default=None,
-                   help="Matsubara tail tolerance, in (0, 1): the sum stops at the first "
-                        "order below it relative to the partial sum (default 1e-9)")
-    p.add_argument("--quad-tol", type=float, default=None,
-                   help="quadrature tolerance, in (0, 1): bounds each order's change on "
-                        "halving the integration step, relative to that order (default 1e-9)")
+
+
+def _add_figure(sub, name: str, summary: str, approaches: Sequence[str]) -> argparse.ArgumentParser:
+    p = sub.add_parser(name, help=summary)
+    _add_common(p, approaches)
+    p.add_argument("--format", choices=["csv", "json"], default="csv")
+    return p
 
 
 def _add_a_grid(p: argparse.ArgumentParser) -> None:
@@ -106,26 +123,31 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="casimir-delta", description=__doc__)
     parser.add_argument("--version", action="version", version=f"casimir-delta {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # fig1 has no sphere, and fig3 prints both prescriptions
+    plasma_ideal = ["plasma", "ideal"]
+    all_approaches = ["plasma", "modified-te", "ideal"]
 
-    p1 = sub.add_parser("fig1", help="plate-plate difference force vs separation")
-    _add_common(p1)
-    _add_a_grid(p1)
-
-    p2 = sub.add_parser("fig2", help="sphere-plate difference force per radius vs separation")
-    _add_common(p2)
-    _add_a_grid(p2)
-
-    p3 = sub.add_parser("fig3", help="sphere-plate difference force per radius vs upper temperature")
-    _add_common(p3)
+    _add_a_grid(_add_figure(sub, "fig1", "plate-plate difference force vs separation",
+                            plasma_ideal))
+    _add_a_grid(_add_figure(sub, "fig2", "sphere-plate difference force per radius vs separation",
+                            all_approaches))
+    p3 = _add_figure(sub, "fig3", "sphere-plate difference force per radius vs upper temperature",
+                     plasma_ideal)
     p3.add_argument("--a-um", type=float, default=0.5)
     p3.add_argument("--points", type=int, default=51)
 
-    pc = sub.add_parser("compute", help="single-point forces and difference force")
-    _add_common(pc)
+    pc = sub.add_parser("compute", help="single-point forces and difference force (JSON)")
+    _add_common(pc, all_approaches)
     pc.add_argument("--geometry", choices=["plates", "sphere"], default="sphere")
     pc.add_argument("--a-um", type=float, default=0.5)
     pc.add_argument("--oracle", action="store_true",
                     help="also run the Lifshitz engine and report deviations")
+    pc.add_argument("--tail-tol", type=float, default=None,
+                    help="Matsubara tail tolerance, in (0, 1): the sum stops at the first "
+                         "order below it relative to the partial sum (default 1e-9)")
+    pc.add_argument("--quad-tol", type=float, default=None,
+                    help="quadrature tolerance, in (0, 1): bounds each order's change on "
+                         "halving the integration step, relative to that order (default 1e-9)")
 
     pv = sub.add_parser("validate", help="run the acceptance checklist")
     pv.add_argument("--format", choices=["text", "json"], default="text")
@@ -197,23 +219,18 @@ def _lambda_p(args: argparse.Namespace) -> float:
     return lam
 
 
-def cmd_fig1(args: argparse.Namespace) -> int:
-    grid = SweepSpec(args.a_min_um * 1e-6, args.a_max_um * 1e-6, args.points, "log")
-    pair = TemperaturePair(args.t1_k, args.t2_k)
-    table = sweep_separation(pair, _lambda_p(args), ParallelPlates(), grid=grid)
-    cfg = _resolved_config(args, ["approach", "lambda_p_nm", "t1_k", "t2_k",
-                                  "a_min_um", "a_max_um", "points", "format"])
-    _write(_emit_table(table, cfg, args, 1e6, "a_um"), args.output)
-    return 0
+def _approach(args: argparse.Namespace) -> ApproachVariant:
+    if args.approach == "modified-te":
+        return ApproachVariant.MODIFIED_TE
+    return ApproachVariant.PLASMA_ZERO_FREQUENCY
 
 
-def cmd_fig2(args: argparse.Namespace) -> int:
+def cmd_separation_sweep(args: argparse.Namespace) -> int:
+    """fig1 (plates) and fig2 (sphere, per unit radius)."""
     grid = SweepSpec(args.a_min_um * 1e-6, args.a_max_um * 1e-6, args.points, "log")
     pair = TemperaturePair(args.t1_k, args.t2_k)
-    approach = (ApproachVariant.MODIFIED_TE if args.approach == "modified-te"
-                else ApproachVariant.PLASMA_ZERO_FREQUENCY)
-    table = sweep_separation(pair, _lambda_p(args), SpherePlate(args.radius_mm * 1e-3),
-                             approach, grid)
+    geometry = ParallelPlates() if args.command == "fig1" else SpherePlate(args.radius_mm * 1e-3)
+    table = sweep_separation(pair, _lambda_p(args), geometry, _approach(args), grid)
     cfg = _resolved_config(args, ["approach", "lambda_p_nm", "t1_k", "t2_k",
                                   "a_min_um", "a_max_um", "points", "format"])
     _write(_emit_table(table, cfg, args, 1e6, "a_um"), args.output)
@@ -235,8 +252,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     R = args.radius_mm * 1e-3
     lam = _lambda_p(args)
     pair = TemperaturePair(args.t1_k, args.t2_k)
-    approach = (ApproachVariant.MODIFIED_TE if args.approach == "modified-te"
-                else ApproachVariant.PLASMA_ZERO_FREQUENCY)
+    approach = _approach(args)
     if args.geometry == "plates" and approach is ApproachVariant.MODIFIED_TE:
         raise UsageError("the modified-te prescription is defined for the sphere geometry only")
 
@@ -322,8 +338,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 _COMMANDS = {
-    "fig1": cmd_fig1,
-    "fig2": cmd_fig2,
+    "fig1": cmd_separation_sweep,
+    "fig2": cmd_separation_sweep,
     "fig3": cmd_fig3,
     "compute": cmd_compute,
     "validate": cmd_validate,
@@ -331,30 +347,15 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        if argv is None:
-            argv = sys.argv[1:]
-        # a config file supplies defaults; explicit flags override them
-        if "--config" in argv:
-            pre = list(argv)
-            path = pre[pre.index("--config") + 1]
-            file_values = _load_config_file(path)
-            args = parser.parse_args(argv)
-            explicit = _explicit_flags(argv)
-            for key, raw in file_values.items():
-                if not hasattr(args, key):
-                    raise UsageError(f"unknown config key {key!r}")
-                if key in explicit:
-                    continue
-                current = getattr(args, key)
-                caster = type(current) if current is not None else str
-                if caster is bool:
-                    setattr(args, key, raw.lower() in ("1", "true", "yes"))
-                else:
-                    setattr(args, key, caster(raw))
-        else:
-            args = parser.parse_args(argv)
+        args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            # the file's flags go right after the command name, so that the
+            # explicit flags after them win
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _config_flags(args) + argv[at:])
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -365,14 +366,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (QuadratureError, ConvergenceError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
-
-
-def _explicit_flags(argv: Sequence[str]) -> set:
-    return {
-        token.lstrip("-").split("=", 1)[0].replace("-", "_")
-        for token in argv
-        if token.startswith("--")
-    }
 
 
 if __name__ == "__main__":

@@ -48,12 +48,6 @@ class ApproachVariant(enum.Enum):
     MODIFIED_TE = "modified-te"
 
 
-@dataclass(frozen=True)
-class ReflectionPair:
-    r_TM: float
-    r_TE: float
-
-
 def permittivity_imaginary(model: MetalModel, xi: float, constants: Constants = CODATA2018) -> float:
     """Permittivity at imaginary frequency omega = i*xi.
 
@@ -111,8 +105,8 @@ def reflection_coefficients(
     xi: float,
     k_perp: float,
     constants: Constants = CODATA2018,
-) -> ReflectionPair:
-    """Fresnel coefficients on the imaginary axis for a metal half-space.
+) -> tuple[float, float]:
+    """Fresnel coefficients (r_TM, r_TE) on the imaginary axis for a metal half-space.
 
     Scalar form of fresnel_coefficients in SI (L = 1 m): with
     q = sqrt(k_perp^2 + xi^2/c^2), the plasma model gives
@@ -128,4 +122,4 @@ def reflection_coefficients(
     r_tm, r_te = fresnel_coefficients(
         model, u, math.sqrt(k_perp * k_perp + u * u), 1.0, constants=constants
     )
-    return ReflectionPair(r_TM=float(r_tm), r_TE=float(r_te))
+    return float(r_tm), float(r_te)

@@ -12,22 +12,15 @@ quadrature, as a cross-check of the engine's n = 0 TE term.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 from scipy.integrate import quad
 
 from .dielectric import ApproachVariant, MetalModel, Plasma, fresnel_coefficients
-from .quantities import (
-    CODATA2018,
-    Constants,
-    Separation,
-    Temperature,
-    ValidityReport,
-)
+from .quantities import CODATA2018, Constants, positive
 
 
 class QuadratureError(RuntimeError):
@@ -104,28 +97,6 @@ class SpherePlate:
 
 
 Geometry = Union[ParallelPlates, SpherePlate]
-
-
-class Method(enum.Enum):
-    PERTURBATIVE = "perturbative"
-    LIFSHITZ_ORACLE = "lifshitz-oracle"
-
-
-@dataclass(frozen=True)
-class ForceResult:
-    """A force (N, sphere-plate) or force per area (N/m^2, plates).
-
-    Attractive forces are negative. `notes` records bookkeeping such as the
-    omitted higher-order conductivity remainder of the perturbative series.
-    """
-
-    value: float
-    geometry: Geometry
-    method: Method
-    approach: ApproachVariant
-    validity: Optional[ValidityReport] = None
-    terms: Optional[object] = None
-    notes: tuple[str, ...] = ()
 
 
 def matsubara_frequency(n: int, T: float, constants: Constants = CODATA2018) -> float:
@@ -288,8 +259,8 @@ def _free_energy_integrand(y: np.ndarray, rsq: tuple[np.ndarray, np.ndarray]) ->
 
 
 def plate_free_energy_per_area(
-    a: Separation | float,
-    T: Temperature | float,
+    a: float,
+    T: float,
     model: MetalModel,
     approach: ApproachVariant = ApproachVariant.PLASMA_ZERO_FREQUENCY,
     matsubara: MatsubaraSpec = DEFAULT_MATSUBARA,
@@ -297,8 +268,8 @@ def plate_free_energy_per_area(
     constants: Constants = CODATA2018,
 ) -> float:
     """Matsubara free energy per unit area, J/m^2 (negative for attraction)."""
-    a_m = a.a if isinstance(a, Separation) else Separation(a).a
-    T_k = T.T if isinstance(T, Temperature) else Temperature(T).T
+    a_m = positive("separation", a)
+    T_k = positive("temperature", T)
     pref = constants.k_B * T_k / (8.0 * math.pi * a_m * a_m)
     return pref * _matsubara_sum(
         a_m, T_k, model, approach, matsubara, quadrature, _free_energy_integrand,
@@ -307,8 +278,8 @@ def plate_free_energy_per_area(
 
 
 def plate_pressure(
-    a: Separation | float,
-    T: Temperature | float,
+    a: float,
+    T: float,
     model: MetalModel,
     approach: ApproachVariant = ApproachVariant.PLASMA_ZERO_FREQUENCY,
     matsubara: MatsubaraSpec = DEFAULT_MATSUBARA,
@@ -321,8 +292,8 @@ def plate_pressure(
     derivative of the free energy; the thermodynamic-identity test covers
     consistency between the two.
     """
-    a_m = a.a if isinstance(a, Separation) else Separation(a).a
-    T_k = T.T if isinstance(T, Temperature) else Temperature(T).T
+    a_m = positive("separation", a)
+    T_k = positive("temperature", T)
     pref = -constants.k_B * T_k / (8.0 * math.pi * a_m ** 3)
     return pref * _matsubara_sum(
         a_m, T_k, model, approach, matsubara, quadrature, _pressure_integrand,
@@ -331,8 +302,8 @@ def plate_pressure(
 
 
 def sphere_plate_force_pfa(
-    a: Separation | float,
-    T: Temperature | float,
+    a: float,
+    T: float,
     R: float,
     model: MetalModel,
     approach: ApproachVariant = ApproachVariant.PLASMA_ZERO_FREQUENCY,
@@ -353,8 +324,8 @@ def sphere_plate_force_pfa(
 
 
 def te_zero_frequency_sphere_term(
-    a: Separation | float,
-    T: Temperature | float,
+    a: float,
+    T: float,
     R: float,
     lambda_p: float,
     quadrature: QuadratureSpec = DEFAULT_QUADRATURE,
@@ -367,8 +338,8 @@ def te_zero_frequency_sphere_term(
     plasma frequency w = 2*a*omega_p/c. Negative (attractive); vanishing
     lambda_p recovers -k_B*T*zeta(3)*R/(8*a^2).
     """
-    a_m = a.a if isinstance(a, Separation) else Separation(a).a
-    T_k = T.T if isinstance(T, Temperature) else Temperature(T).T
+    a_m = positive("separation", a)
+    T_k = positive("temperature", T)
     geometry = SpherePlate(R)
     model = Plasma(lambda_p)
     w = 2.0 * a_m * model.plasma_frequency(constants) / constants.c

@@ -20,14 +20,14 @@ import math
 from dataclasses import dataclass
 
 from .dielectric import ApproachVariant
-from .lifshitz import ForceResult, Method, ParallelPlates, SpherePlate
+from .lifshitz import Geometry, ParallelPlates, SpherePlate
 from .quantities import (
     CODATA2018,
     Constants,
-    Separation,
-    Temperature,
+    ValidityReport,
     classify_validity,
     derived_scales,
+    positive,
 )
 
 OMITTED_REMAINDER_NOTE = (
@@ -73,9 +73,25 @@ class PerturbativeTerms:
         return self.base * self.correction_factor - self.zero_frequency_te
 
 
+@dataclass(frozen=True)
+class ForceResult:
+    """A perturbative force (N, sphere-plate) or force per area (N/m^2, plates).
+
+    Attractive forces are negative. `notes` records bookkeeping such as the
+    omitted higher-order conductivity remainder of the series.
+    """
+
+    value: float
+    geometry: Geometry
+    approach: ApproachVariant
+    validity: ValidityReport
+    terms: PerturbativeTerms
+    notes: tuple[str, ...] = ()
+
+
 def plate_force_perturbative(
-    a: Separation | float,
-    T: Temperature | float,
+    a: float,
+    T: float,
     lambda_p: float,
     constants: Constants = CODATA2018,
 ) -> ForceResult:
@@ -85,8 +101,8 @@ def plate_force_perturbative(
           + 24 d^2 - (640/7)(1 - pi^2/210) d^3}
     with F0 = -pi^2 hbar c/(240 a^4), t = T/T_eff, d = delta/a.
     """
-    a_m = a.a if isinstance(a, Separation) else Separation(a).a
-    T_k = T.T if isinstance(T, Temperature) else Temperature(T).T
+    a_m = positive("separation", a)
+    T_k = positive("temperature", T)
     scales = derived_scales(a_m, T_k, lambda_p, constants)
     t = scales.T_over_Teff
     d = scales.delta_over_a
@@ -106,7 +122,6 @@ def plate_force_perturbative(
     return ForceResult(
         value=terms.total,
         geometry=ParallelPlates(),
-        method=Method.PERTURBATIVE,
         approach=ApproachVariant.PLASMA_ZERO_FREQUENCY,
         validity=classify_validity(a_m, T_k, T_k, lambda_p),
         terms=terms,
@@ -115,8 +130,8 @@ def plate_force_perturbative(
 
 
 def sphere_force_perturbative(
-    a: Separation | float,
-    T: Temperature | float,
+    a: float,
+    T: float,
     R: float,
     lambda_p: float,
     approach: ApproachVariant = ApproachVariant.PLASMA_ZERO_FREQUENCY,
@@ -130,8 +145,8 @@ def sphere_force_perturbative(
     zero-frequency TE term (te_zero_frequency_asymptotic) is subtracted and
     kept in terms.zero_frequency_te.
     """
-    a_m = a.a if isinstance(a, Separation) else Separation(a).a
-    T_k = T.T if isinstance(T, Temperature) else Temperature(T).T
+    a_m = positive("separation", a)
+    T_k = positive("temperature", T)
     geometry = SpherePlate(R)
     scales = derived_scales(a_m, T_k, lambda_p, constants)
     t = scales.T_over_Teff
@@ -156,7 +171,6 @@ def sphere_force_perturbative(
     return ForceResult(
         value=terms.total,
         geometry=geometry,
-        method=Method.PERTURBATIVE,
         approach=approach,
         validity=classify_validity(a_m, T_k, T_k, lambda_p),
         terms=terms,
@@ -165,8 +179,8 @@ def sphere_force_perturbative(
 
 
 def te_zero_frequency_asymptotic(
-    a: Separation | float,
-    T: Temperature | float,
+    a: float,
+    T: float,
     R: float,
     lambda_p: float,
     constants: Constants = CODATA2018,
@@ -176,8 +190,8 @@ def te_zero_frequency_asymptotic(
     -(k_B T zeta3 R)/(8 a^2) * (1 - 4 d + 12 d^2), reliable for a >= 0.5 um
     with gold-like lambda_p; degrades monotonically below.
     """
-    a_m = a.a if isinstance(a, Separation) else Separation(a).a
-    T_k = T.T if isinstance(T, Temperature) else Temperature(T).T
+    a_m = positive("separation", a)
+    T_k = positive("temperature", T)
     geometry = SpherePlate(R)
     d = derived_scales(a_m, T_k, lambda_p, constants).delta_over_a
     return (

@@ -1,8 +1,8 @@
-"""Unit-carrying physical quantities, fundamental constants, derived scales.
+"""Fundamental constants, input checks, derived scales and the validity window.
 
-Everything downstream (dielectric response, Lifshitz engine, perturbative
-models) works in SI internally; unit conversion happens only at the CLI
-boundary.
+Every quantity is a plain float in SI units (kelvin for temperatures),
+checked by `positive` in each public function that takes it; unit conversion
+happens only at the CLI boundary.
 """
 
 from __future__ import annotations
@@ -36,30 +36,12 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class Separation:
-    """Plate-plate (or sphere-plate closest-approach) gap in meters."""
-
-    a: float
-
-    def __post_init__(self) -> None:
-        a = _require_finite("separation", self.a)
-        if a <= 0.0:
-            raise ValueError(f"separation must be positive, got {a}")
-        object.__setattr__(self, "a", a)
-
-
-@dataclass(frozen=True)
-class Temperature:
-    """Absolute temperature in kelvin."""
-
-    T: float
-
-    def __post_init__(self) -> None:
-        T = _require_finite("temperature", self.T)
-        if T <= 0.0:
-            raise ValueError(f"temperature must be positive, got {T}")
-        object.__setattr__(self, "T", T)
+def positive(name: str, value: float) -> float:
+    """value as a Python float; ValueError unless it is finite and > 0."""
+    value = _require_finite(name, value)
+    if value <= 0.0:
+        raise ValueError(f"{name} must be positive, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -92,10 +74,9 @@ class DerivedScales:
     T_over_Teff: float
 
 
-def effective_temperature(a: Separation | float, constants: Constants = CODATA2018) -> Temperature:
-    """Temperature scale at which thermal photons match the gap's frequency scale."""
-    a_m = a.a if isinstance(a, Separation) else Separation(a).a
-    return Temperature(constants.hbar * constants.c / (2.0 * a_m * constants.k_B))
+def effective_temperature(a: float, constants: Constants = CODATA2018) -> float:
+    """Temperature scale at which thermal photons match the gap's frequency scale, K."""
+    return constants.hbar * constants.c / (2.0 * positive("separation", a) * constants.k_B)
 
 
 def skin_depth_parameter(lambda_p: float) -> float:
@@ -107,14 +88,14 @@ def skin_depth_parameter(lambda_p: float) -> float:
 
 
 def derived_scales(
-    a: Separation | float,
-    T: Temperature | float,
+    a: float,
+    T: float,
     lambda_p: float,
     constants: Constants = CODATA2018,
 ) -> DerivedScales:
-    a_m = a.a if isinstance(a, Separation) else Separation(a).a
-    T_k = T.T if isinstance(T, Temperature) else Temperature(T).T
-    T_eff = effective_temperature(a_m, constants).T
+    a_m = positive("separation", a)
+    T_k = positive("temperature", T)
+    T_eff = effective_temperature(a_m, constants)
     delta = skin_depth_parameter(lambda_p)
     return DerivedScales(
         T_eff=T_eff,
@@ -124,20 +105,15 @@ def derived_scales(
     )
 
 
-def classify_validity(
-    a: Separation | float,
-    T1: Temperature | float,
-    T2: Temperature | float,
-    lambda_p: float,
-) -> ValidityReport:
+def classify_validity(a: float, T1: float, T2: float, lambda_p: float) -> ValidityReport:
     """Flag parameters outside the framework's window; never rejects.
 
     The window is lambda_p <= a <= 2 um and T <= 350 K. Out-of-window inputs
     still compute, carrying these flags as warnings on the results.
     """
-    a_m = a.a if isinstance(a, Separation) else Separation(a).a
-    t1 = T1.T if isinstance(T1, Temperature) else Temperature(T1).T
-    t2 = T2.T if isinstance(T2, Temperature) else Temperature(T2).T
+    a_m = positive("separation", a)
+    t1 = positive("temperature", T1)
+    t2 = positive("temperature", T2)
     lam = lambda_p
     if lam < 0.0:
         raise ValueError(f"plasma wavelength must be non-negative, got {lam}")

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -15,10 +14,10 @@ from .lifshitz import Geometry, ParallelPlates, SpherePlate
 from .quantities import (
     CODATA2018,
     Constants,
-    Separation,
-    Temperature,
+    ValidityReport,
     classify_validity,
     derived_scales,
+    positive,
 )
 
 
@@ -30,8 +29,8 @@ class TemperaturePair:
     T2: float  # K
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "T1", Temperature(self.T1).T)
-        object.__setattr__(self, "T2", Temperature(self.T2).T)
+        object.__setattr__(self, "T1", positive("temperature", self.T1))
+        object.__setattr__(self, "T2", positive("temperature", self.T2))
 
     def swapped(self) -> "TemperaturePair":
         return TemperaturePair(self.T2, self.T1)
@@ -51,12 +50,12 @@ class DifferenceResult:
     factor2: float
     approach: ApproachVariant
     geometry: Geometry
+    validity: ValidityReport
     zero_frequency_te_term: float = 0.0
-    validity: object = None
 
 
 def delta_force_plates(
-    a: Separation | float,
+    a: float,
     pair: TemperaturePair,
     lambda_p: float,
     constants: Constants = CODATA2018,
@@ -67,7 +66,7 @@ def delta_force_plates(
     separation independent; finite conductivity enters only through the
     dimensionless factor, which is 1 for an ideal metal.
     """
-    a_m = a.a if isinstance(a, Separation) else Separation(a).a
+    a_m = positive("separation", a)
     T1, T2 = pair.T1, pair.T2
     scales = derived_scales(a_m, T1, lambda_p, constants)
     z3 = constants.zeta3
@@ -91,7 +90,7 @@ def delta_force_plates(
 
 
 def delta_force_sphere(
-    a: Separation | float,
+    a: float,
     pair: TemperaturePair,
     R: float,
     lambda_p: float,
@@ -104,7 +103,7 @@ def delta_force_sphere(
     (k_B zeta3 R/(8 a^2)) (T2 - T1)(1 - 4d + 12 d^2) is added back, flipping
     the sign of the total for gold-like parameters.
     """
-    a_m = a.a if isinstance(a, Separation) else Separation(a).a
+    a_m = positive("separation", a)
     geometry = SpherePlate(R)
     T1, T2 = pair.T1, pair.T2
     scales = derived_scales(a_m, T1, lambda_p, constants)
@@ -206,7 +205,7 @@ def sweep_separation(
 
 
 def sweep_temperature(
-    a: Separation | float,
+    a: float,
     T1: float,
     lambda_p: float,
     R: float = 1.0e-3,

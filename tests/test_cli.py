@@ -195,6 +195,49 @@ class TestConfigFile:
         assert rc == 1
         assert "unknown config key" in err
 
+    def test_tolerance_reaches_engine_as_a_number(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tail-tol = 1e-6\n")
+        rc, out, _ = run(capsys, "compute", "--oracle", "--geometry", "plates", "--config", str(cfg))
+        assert rc == 0
+        assert json.loads(out)["oracle"]["tail_tolerance"] == 1e-06
+
+    def test_value_checked_against_choices(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("approach = bogus\n")
+        rc, out, err = run(capsys, "fig1", "--config", str(cfg))
+        assert rc == 1
+        assert out == ""
+        assert "bogus" in err
+
+    def test_equals_form_applies_the_file(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("points = 7\n")
+        rc, out, _ = run(capsys, "fig1", f"--config={cfg}")
+        assert rc == 0
+        assert "# points = 7" in out
+        assert len(data_rows(out)[1]) == 7
+
+    def test_missing_path_is_usage_error(self, capsys):
+        rc, out, _ = run(capsys, "fig1", "--config")
+        assert rc == 1
+        assert out == ""
+
+    def test_unreadable_file_is_usage_error(self, capsys, tmp_path):
+        rc, out, err = run(capsys, "fig1", "--config", str(tmp_path / "absent.cfg"))
+        assert rc == 1
+        assert out == ""
+        assert "config file" in err
+
+    def test_true_boolean_sets_the_flag(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("oracle = true\n")
+        rc, out, _ = run(capsys, "compute", "--geometry", "plates", "--a-um", "1.0", "--config", str(cfg))
+        assert rc == 0
+        rec = json.loads(out)
+        assert rec["config"]["oracle"] is True
+        assert "oracle" in rec
+
 
 class TestOutputFile:
     def test_write_to_path(self, capsys, tmp_path):
@@ -220,6 +263,25 @@ class TestValidate:
         rc, out, _ = run(capsys, "validate")
         assert "fig1-ratio>9" in out
         assert "PASS" in out
+
+
+class TestIgnoredFlagsRejected:
+    """A command refuses the flags it would ignore."""
+
+    @pytest.mark.parametrize("argv", [
+        ("fig1", "--approach", "modified-te"),
+        ("fig3", "--approach", "modified-te"),
+        ("fig1", "--tail-tol", "1e-6"),
+        ("fig2", "--quad-tol", "1e-6"),
+        ("fig3", "--tail-tol", "1e-6"),
+        ("compute", "--format", "csv"),
+        ("compute", "--format", "json"),
+    ], ids=" ".join)
+    def test_exit_1_and_no_output(self, capsys, argv):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error:")
 
 
 class TestUsage:

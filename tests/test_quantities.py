@@ -1,17 +1,21 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from casimir_delta.quantities import (
     CODATA2018,
-    Separation,
-    Temperature,
     classify_validity,
     derived_scales,
     effective_temperature,
+    positive,
     skin_depth_parameter,
 )
+from casimir_delta.dielectric import Plasma
+from casimir_delta.lifshitz import plate_pressure
+from casimir_delta.perturbative import plate_force_perturbative
+from casimir_delta.scenarios import TemperaturePair, delta_force_plates
 
 
 class TestEffectiveTemperature:
@@ -25,7 +29,7 @@ class TestEffectiveTemperature:
         ],
     )
     def test_values(self, a, expected):
-        assert effective_temperature(a).T == pytest.approx(expected, rel=1e-12)
+        assert effective_temperature(a) == pytest.approx(expected, rel=1e-12)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -35,12 +39,12 @@ class TestEffectiveTemperature:
 
     @given(st.floats(min_value=1e-9, max_value=1e-3))
     def test_product_with_a_is_constant(self, a):
-        ref = effective_temperature(1e-6).T * 1e-6
-        assert effective_temperature(a).T * a == pytest.approx(ref, rel=1e-12)
+        ref = effective_temperature(1e-6) * 1e-6
+        assert effective_temperature(a) * a == pytest.approx(ref, rel=1e-12)
 
     def test_strictly_decreasing(self):
         grid = [0.1e-6, 0.5e-6, 1e-6, 2e-6, 5e-6]
-        vals = [effective_temperature(a).T for a in grid]
+        vals = [effective_temperature(a) for a in grid]
         assert all(x > y for x, y in zip(vals, vals[1:]))
 
 
@@ -69,20 +73,51 @@ class TestSkinDepthParameter:
 
 
 class TestQuantityConstructors:
+    """Every public entry point rejects a separation or a temperature that is
+    not finite and positive (through quantities.positive); each test lists
+    the entry points that accepted the bad value."""
+
+    TAKE_SEPARATION = {
+        "positive": lambda a: positive("separation", a),
+        "plate_pressure": lambda a: plate_pressure(a, 300.0, Plasma(136e-9)),
+        "plate_force_perturbative": lambda a: plate_force_perturbative(a, 300.0, 136e-9),
+        "delta_force_plates": lambda a: delta_force_plates(a, TemperaturePair(300.0, 350.0), 136e-9),
+        "derived_scales": lambda a: derived_scales(a, 300.0, 136e-9),
+        "classify_validity": lambda a: classify_validity(a, 300.0, 350.0, 136e-9),
+    }
+    TAKE_TEMPERATURE = {
+        "positive": lambda T: positive("temperature", T),
+        "plate_pressure": lambda T: plate_pressure(1e-6, T, Plasma(136e-9)),
+        "plate_force_perturbative": lambda T: plate_force_perturbative(1e-6, T, 136e-9),
+        "derived_scales": lambda T: derived_scales(1e-6, T, 136e-9),
+        "classify_validity (T1)": lambda T: classify_validity(1e-6, T, 350.0, 136e-9),
+        "classify_validity (T2)": lambda T: classify_validity(1e-6, 300.0, T, 136e-9),
+        "TemperaturePair (T1)": lambda T: TemperaturePair(T, 350.0),
+        "TemperaturePair (T2)": lambda T: TemperaturePair(300.0, T),
+    }
+
+    @staticmethod
+    def _accepting(entries: dict, bad: float) -> list:
+        accepted = []
+        for name, call in entries.items():
+            try:
+                call(bad)
+            except ValueError:
+                continue
+            accepted.append(name)
+        return accepted
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
     def test_separation_rejects(self, bad):
-        with pytest.raises(ValueError):
-            Separation(bad)
+        assert self._accepting(self.TAKE_SEPARATION, bad) == []
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -300.0])
     def test_temperature_rejects(self, bad):
-        with pytest.raises(ValueError):
-            Temperature(bad)
+        assert self._accepting(self.TAKE_TEMPERATURE, bad) == []
 
-    def test_immutable(self):
-        s = Separation(1e-6)
-        with pytest.raises(AttributeError):
-            s.a = 2e-6
+    def test_positive_returns_a_python_float(self):
+        value = positive("separation", np.float64(1e-6))
+        assert type(value) is float and value == 1e-6
 
 
 class TestDerivedScales:
