@@ -8,6 +8,7 @@ significant digits)."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -119,6 +120,7 @@ def _add_a_grid(p: argparse.ArgumentParser) -> None:
     p.add_argument("--points", type=int, default=75)
 
 
+@functools.cache  # the tree is never mutated after it is built; parse_args makes fresh namespaces
 def build_parser() -> _Parser:
     parser = _Parser(prog="casimir-delta", description=__doc__)
     parser.add_argument("--version", action="version", version=f"casimir-delta {__version__}")

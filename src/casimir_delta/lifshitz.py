@@ -7,7 +7,9 @@ tolerance; whole blocks of orders are evaluated as one numpy array. This is
 the independent oracle every closed-form perturbative expression is checked
 against, so its default tolerances are set far below the acceptance bands
 (1e-9 vs 0.5-5%). The zero-frequency TE sphere term keeps scipy's adaptive
-quadrature, as a cross-check of the engine's n = 0 TE term.
+quadrature, as a cross-check of the engine's n = 0 TE term; it is the only
+code that loads scipy, on its first call, so importing the package and every
+CLI command but `validate` need numpy alone.
 """
 
 from __future__ import annotations
@@ -17,10 +19,16 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy.integrate import quad
 
 from .dielectric import ApproachVariant, MetalModel, Plasma, fresnel_coefficients
 from .quantities import CODATA2018, Constants, positive
+
+
+def quad(func, a, b, **options):
+    # scipy.integrate takes ~0.8 s to import and only the n = 0 TE cross-check needs it
+    from scipy.integrate import quad
+
+    return quad(func, a, b, **options)
 
 
 class QuadratureError(RuntimeError):
@@ -64,7 +72,8 @@ class QuadratureSpec:
     order's integral; the finer sum is kept, and its own error is far smaller
     because the rule converges double-exponentially. An order also passes
     when the change is at most absolute_floor. For the zero-frequency TE
-    term both are scipy quad's epsrel and epsabs.
+    term both are scipy quad's epsrel and epsabs; that term is the only
+    user of scipy, which it imports on its first call.
     """
 
     relative_tolerance: float = 1e-9

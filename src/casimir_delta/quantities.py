@@ -79,12 +79,16 @@ def effective_temperature(a: float, constants: Constants = CODATA2018) -> float:
     return constants.hbar * constants.c / (2.0 * positive("separation", a) * constants.k_B)
 
 
-def skin_depth_parameter(lambda_p: float) -> float:
-    """Effective field-penetration depth lambda_p/(2*pi); 0 encodes an ideal metal."""
+def _plasma_wavelength(lambda_p: float) -> float:
     lam = _require_finite("plasma wavelength", lambda_p)
     if lam < 0.0:
         raise ValueError(f"plasma wavelength must be non-negative, got {lam}")
-    return lam / (2.0 * math.pi)
+    return lam
+
+
+def skin_depth_parameter(lambda_p: float) -> float:
+    """Effective field-penetration depth lambda_p/(2*pi); 0 encodes an ideal metal."""
+    return _plasma_wavelength(lambda_p) / (2.0 * math.pi)
 
 
 def derived_scales(
@@ -114,9 +118,7 @@ def classify_validity(a: float, T1: float, T2: float, lambda_p: float) -> Validi
     a_m = positive("separation", a)
     t1 = positive("temperature", T1)
     t2 = positive("temperature", T2)
-    lam = lambda_p
-    if lam < 0.0:
-        raise ValueError(f"plasma wavelength must be non-negative, got {lam}")
+    lam = _plasma_wavelength(lambda_p)
 
     above_lp = a_m >= lam
     below_max = a_m <= SEPARATION_MAX

@@ -1,8 +1,13 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from casimir_delta.cli import main
+from casimir_delta.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -292,3 +297,50 @@ class TestUsage:
     def test_bad_lambda_p(self, capsys):
         rc, _, err = run(capsys, "fig1", "--lambda-p-nm", "-5")
         assert rc == 1
+
+
+def test_parser_reuse_leaks_no_state_between_calls(capsys, tmp_path):
+    # main reuses one parser per process; a --config run must not change the next call
+    plain = [("compute",), ("fig1", "--points", "3")]
+    fresh = []
+    for argv in plain:
+        build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tail-tol = 1e-6\napproach = modified-te\noracle = true\n")
+    rc, out, _ = run(capsys, "compute", "--config", str(cfg))
+    assert rc == 0
+    rec = json.loads(out)
+    assert rec["config"]["approach"] == "modified-te"
+    assert rec["oracle"]["tail_tolerance"] == 1e-6
+    assert [rc for rc, _, _ in fresh] == [0, 0]
+    assert [run(capsys, *argv) for argv in plain] == fresh
+    assert build_parser() is build_parser()
+
+
+# Every command but validate runs on numpy alone; scipy arrives with the
+# first zero-frequency TE cross-check.
+COLD_START = """
+import json, sys
+from casimir_delta import cli, lifshitz
+runs = [["fig1"], ["fig2"], ["fig3"], ["compute", "--geometry", "plates"], ["compute"],
+        ["compute", "--geometry", "plates", "--oracle"], ["compute", "--oracle"],
+        ["compute", "--approach", "modified-te", "--oracle"]]
+codes = [cli.main(argv + ["--output", sys.argv[1]]) for argv in runs]
+scipy_before = "scipy" in sys.modules
+te0 = lifshitz.te_zero_frequency_sphere_term(0.5e-6, 300.0, 1e-3, 136e-9)
+print(json.dumps({"codes": codes, "scipy_before": scipy_before,
+                  "scipy_after": "scipy" in sys.modules, "te0": te0}))
+"""
+
+
+def test_cold_start_loads_scipy_only_for_the_te_cross_check(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0] * 8
+    assert not result["scipy_before"]
+    assert result["scipy_after"]
+    assert math.isfinite(result["te0"]) and result["te0"] < 0.0

@@ -156,6 +156,14 @@ class TestClassifyValidity:
     def test_never_raises_for_positive_inputs(self):
         classify_validity(1e-9, 1.0, 1e4, 136e-9)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), -1.0])
+    def test_rejects_bad_plasma_wavelength(self, bad):
+        with pytest.raises(ValueError, match="plasma wavelength"):
+            classify_validity(1e-6, 300.0, 300.0, bad)
+
+    def test_ideal_metal_plasma_wavelength_accepted(self):
+        assert classify_validity(1e-6, 300.0, 300.0, 0.0).all_in_range
+
 
 def test_constants_are_codata_2018():
     assert CODATA2018.hbar == 1.054571817e-34
