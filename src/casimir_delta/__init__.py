@@ -23,7 +23,6 @@ from .dielectric import (
     reflection_coefficients,
 )
 from .lifshitz import (
-    ConvergenceError,
     MatsubaraSpec,
     ParallelPlates,
     QuadratureError,

@@ -1,8 +1,10 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 
+from casimir_delta import lifshitz
 from casimir_delta.dielectric import (
     ApproachVariant,
     IdealMetal,
@@ -11,7 +13,6 @@ from casimir_delta.dielectric import (
     reflection_coefficients,
 )
 from casimir_delta.lifshitz import (
-    ConvergenceError,
     MatsubaraSpec,
     QuadratureSpec,
     matsubara_frequency,
@@ -28,8 +29,7 @@ PLASMA = ApproachVariant.PLASMA_ZERO_FREQUENCY
 MOD_TE = ApproachVariant.MODIFIED_TE
 
 # 1 K stands in for T -> 0: thermal terms are ~(T/T_eff)^3 ~ 1e-8 there.
-# Tail tolerance 1e-7 keeps the ~1e4-term cold sums quick while staying three
-# orders below the 0.1% bands being asserted.
+# Tail tolerance 1e-7 stays four orders below the 0.1% bands being asserted.
 COLD = MatsubaraSpec(relative_tail_tolerance=1e-7)
 
 
@@ -157,10 +157,6 @@ class TestPlasmaEngine:
         tight = plate_pressure(1e-6, 300.0, AU, matsubara=MatsubaraSpec(1e-12))
         assert loose == pytest.approx(tight, rel=1e-5)
 
-    def test_convergence_error_when_capped(self):
-        with pytest.raises(ConvergenceError):
-            plate_pressure(1e-6, 1.0, AU, matsubara=MatsubaraSpec(1e-9, max_terms=3))
-
 
 class TestApproachDifference:
     def test_equals_zero_frequency_te_term(self):
@@ -176,6 +172,76 @@ class TestApproachDifference:
         e_plasma = plate_free_energy_per_area(1e-6, 300.0, IdealMetal(), PLASMA)
         e_mod = plate_free_energy_per_area(1e-6, 300.0, IdealMetal(), MOD_TE)
         assert abs(e_plasma) > abs(e_mod)
+
+
+def temperature_at(a, inv_y1):
+    """The temperature at which the separation a has 1/y1 = inv_y1."""
+    return CODATA2018.hbar * CODATA2018.c / (4.0 * math.pi * a * CODATA2018.k_B * inv_y1)
+
+
+class TestEulerMaclaurinClose:
+    """Cold sums: one block of explicit orders, then the Euler-Maclaurin tail."""
+
+    @pytest.mark.parametrize("a,T", [
+        (0.15e-6, 1.0),
+        (1e-6, 1.0),
+        # 1/y1 = 10: the stopping estimate 26.8/y1 just exceeds 256 orders
+        (1e-6, temperature_at(1e-6, 10.0)),
+    ])
+    @pytest.mark.parametrize("approach", [PLASMA, MOD_TE])
+    def test_ideal_metal_below_the_tail_tolerance(self, a, T, approach):
+        # the explicit tail rule leaves about one tail tolerance (1e-9); the
+        # close leaves the quadrature and round-off error alone
+        matsubara = MatsubaraSpec(1e-9)
+        energy, pressure = exact_ideal_sums(a, T, approach is MOD_TE)
+        got_energy = plate_free_energy_per_area(a, T, IdealMetal(), approach, matsubara)
+        got_pressure = plate_pressure(a, T, IdealMetal(), approach, matsubara)
+        assert got_energy == pytest.approx(energy, rel=1e-10, abs=0)
+        assert got_pressure == pytest.approx(pressure, rel=1e-10, abs=0)
+
+    def test_order_zero_stays_explicit(self):
+        # the prescriptions differ only in the n = 0 TE term, so a close that
+        # swallowed order 0 would break this identity
+        a, T, R = 1e-6, 1.0, 1e-3
+        f_plasma = sphere_plate_force_pfa(a, T, R, AU, PLASMA)
+        f_mod = sphere_plate_force_pfa(a, T, R, AU, MOD_TE)
+        direct = te_zero_frequency_sphere_term(a, T, R, 136e-9)
+        assert f_plasma - f_mod == pytest.approx(direct, rel=1e-9, abs=0)
+
+    def test_sum_not_stopped_by_the_cap_is_closed_there(self, monkeypatch, caplog):
+        # at 1 um, 350 K the tail rule stops at order 14; with the cap at 14
+        # the explicit orders 0-13 end first and the close takes over there
+        monkeypatch.setattr(lifshitz, "_CLOSE_AFTER", 14)
+        a, T = 1e-6, 350.0
+        with caplog.at_level(logging.DEBUG, logger=lifshitz.__name__):
+            got = plate_pressure(a, T, IdealMetal())
+        assert [r.args[1] for r in caplog.records] == [14]
+        band = 2.0 * (MatsubaraSpec().relative_tail_tolerance + QuadratureSpec().relative_tolerance)
+        assert got == pytest.approx(exact_ideal_sums(a, T, False)[1], rel=band, abs=0)
+
+    def test_close_logs_one_debug_record(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger=lifshitz.__name__):
+            plate_pressure(0.5e-6, 300.0, AU)
+            assert caplog.records == []
+            plate_pressure(0.15e-6, 1.0, AU)
+        [record] = caplog.records
+        assert record.levelno == logging.DEBUG
+        label, head, nodes, correction = record.args
+        assert (label, head) == ("pressure", 64)
+        assert nodes >= 129 and 0.0 < correction < 1e-9
+
+    def test_cold_sum_evaluates_few_orders(self, monkeypatch):
+        # a count of distinct lower limits (orders and outer nodes), not a
+        # time: the explicit loop needs 25,344 here, the close under 200
+        seen = set()
+
+        def counting(model, u, *args):
+            seen.update(np.unique(u).tolist())
+            return fresnel_coefficients(model, u, *args)
+
+        monkeypatch.setattr(lifshitz, "fresnel_coefficients", counting)
+        plate_pressure(0.15e-6, 1.0, AU)
+        assert len(seen) < 1000
 
 
 class TestProximityForce:
@@ -266,9 +332,6 @@ class TestSpecValidation:
         lambda: MatsubaraSpec(relative_tail_tolerance=0.0),
         lambda: MatsubaraSpec(relative_tail_tolerance=1.0),
         lambda: MatsubaraSpec(relative_tail_tolerance=math.nan),
-        lambda: MatsubaraSpec(max_terms=0),
-        lambda: MatsubaraSpec(max_terms=10.0),
-        lambda: MatsubaraSpec(max_terms=True),
         lambda: QuadratureSpec(relative_tolerance=-1e-9),
         lambda: QuadratureSpec(relative_tolerance=math.inf),
         lambda: QuadratureSpec(absolute_floor=-1e-300),
