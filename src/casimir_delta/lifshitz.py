@@ -214,9 +214,10 @@ def _matsubara_sum(
     tail = matsubara.relative_tail_tolerance
     # terms fall off like y_n^2 exp(-y_n), so the sum stops near
     # y_n = L + 2 ln L with L = ln(1/tail): one block holds that many orders,
-    # up to the element cap
+    # up to the element cap. ln L is clamped at 0, so that a loose tail
+    # (L < 1) cannot make the estimate negative and the blocks one order long
     span = math.log(1.0 / tail)
-    estimate = (span + 2.0 * math.log(span)) / y1
+    estimate = (span + 2.0 * max(0.0, math.log(span))) / y1
     block = max(1, min(_MAX_BLOCK, math.ceil(estimate) + 1))
     head = _MAX_BLOCK if estimate > _CLOSE_AFTER else _CLOSE_AFTER
 

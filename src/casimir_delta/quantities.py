@@ -2,7 +2,8 @@
 
 Every quantity is a plain float in SI units (kelvin for temperatures),
 checked by `positive` in each public function that takes it; unit conversion
-happens only at the CLI boundary.
+happens only at the CLI boundary. The one exception is `gap_scales`, which
+takes arrays unchecked, for the sweeps that check a whole grid once.
 """
 
 from __future__ import annotations
@@ -74,9 +75,16 @@ class DerivedScales:
     T_over_Teff: float
 
 
+def gap_scales(a, delta, constants: Constants = CODATA2018):
+    """(T_eff, delta/a) with T_eff = hbar*c/(2*a*k_B), elementwise for an array
+    of separations a (m). Unchecked: the callers check a and delta first."""
+    return constants.hbar * constants.c / (2.0 * a * constants.k_B), delta / a
+
+
 def effective_temperature(a: float, constants: Constants = CODATA2018) -> float:
     """Temperature scale at which thermal photons match the gap's frequency scale, K."""
-    return constants.hbar * constants.c / (2.0 * positive("separation", a) * constants.k_B)
+    T_eff, _ = gap_scales(positive("separation", a), 0.0, constants)
+    return T_eff
 
 
 def _plasma_wavelength(lambda_p: float) -> float:
@@ -99,12 +107,12 @@ def derived_scales(
 ) -> DerivedScales:
     a_m = positive("separation", a)
     T_k = positive("temperature", T)
-    T_eff = effective_temperature(a_m, constants)
     delta = skin_depth_parameter(lambda_p)
+    T_eff, delta_over_a = gap_scales(a_m, delta, constants)
     return DerivedScales(
         T_eff=T_eff,
         delta=delta,
-        delta_over_a=delta / a_m,
+        delta_over_a=delta_over_a,
         T_over_Teff=T_k / T_eff,
     )
 

@@ -1,6 +1,13 @@
 """Temperature-difference Casimir forces for both geometries and both
 zero-frequency prescriptions, plus the separation/temperature sweeps behind
-the figure datasets."""
+the figure datasets.
+
+Each closed form's arithmetic is written once, in `_plates_difference` and
+`_sphere_difference`, which run elementwise on floats and on numpy arrays
+alike. `delta_force_plates`/`delta_force_sphere` check one point and call
+them on floats; the sweeps check their inputs once and call them on the
+whole grid, once per column, so that a sweep cell and the scalar value are
+the same float."""
 
 from __future__ import annotations
 
@@ -17,7 +24,9 @@ from .quantities import (
     ValidityReport,
     classify_validity,
     derived_scales,
+    gap_scales,
     positive,
+    skin_depth_parameter,
 )
 
 
@@ -54,6 +63,47 @@ class DifferenceResult:
     zero_frequency_te_term: float = 0.0
 
 
+def _plates_difference(T1, T2, T_eff, d, constants: Constants):
+    """(delta_F, factor1, factor2) of the plate closed form, elementwise where
+    T_eff and d are arrays over separations. T1 and T2 stay floats: numpy's
+    array ** is not Python's pow bit for bit."""
+    z3 = constants.zeta3
+    pi = constants.pi
+    factor1 = (
+        pi ** 2 * constants.k_B ** 4 * (T2 ** 4 - T1 ** 4)
+        / (45.0 * constants.hbar ** 3 * constants.c ** 3)
+    )
+    factor2 = 1.0 + (90.0 * z3 / pi ** 3) * d * (
+        T_eff / (T1 + T2)
+    ) * (1.0 + T1 * T2 / (T1 * T1 + T2 * T2))
+    return -factor1 * factor2, factor1, factor2
+
+
+def _sphere_difference(a, T1, T2, R, T_eff, d, approach: ApproachVariant, constants: Constants):
+    """(delta_F, factor1, factor2, zero-frequency TE term) of the sphere-plate
+    closed form, elementwise where a (with T_eff and d) or T2 is an array.
+    The TE term is added even when it is 0.0, which turns a -0.0 into 0.0."""
+    z3 = constants.zeta3
+    pi = constants.pi
+    factor1 = (
+        z3 * constants.k_B ** 3 * (T2 - T1) * (T1 * T1 + T2 * T2)
+        / (constants.hbar ** 2 * constants.c ** 2)
+    )
+    factor2 = (1.0 + T1 * T2 / (T1 * T1 + T2 * T2)) * (1.0 + 2.0 * d) - (
+        pi ** 3 / (45.0 * z3)
+    ) * ((T1 + T2) / T_eff) * (1.0 + 4.0 * d)
+
+    te_term = 0.0
+    if approach is ApproachVariant.MODIFIED_TE:
+        # a * a rather than a ** 2: on a float ** is libm's pow, which is not
+        # always the correctly rounded square that numpy's array ** 2 gives
+        te_term = (
+            constants.k_B * z3 * R / (8.0 * (a * a))
+            * (T2 - T1) * (1.0 - 4.0 * d + 12.0 * d * d)
+        )
+    return -R * factor1 * factor2 + te_term, factor1, factor2, te_term
+
+
 def delta_force_plates(
     a: float,
     pair: TemperaturePair,
@@ -67,25 +117,17 @@ def delta_force_plates(
     dimensionless factor, which is 1 for an ideal metal.
     """
     a_m = positive("separation", a)
-    T1, T2 = pair.T1, pair.T2
-    scales = derived_scales(a_m, T1, lambda_p, constants)
-    z3 = constants.zeta3
-    pi = constants.pi
-
-    factor1 = (
-        pi ** 2 * constants.k_B ** 4 * (T2 ** 4 - T1 ** 4)
-        / (45.0 * constants.hbar ** 3 * constants.c ** 3)
+    scales = derived_scales(a_m, pair.T1, lambda_p, constants)
+    delta_F, factor1, factor2 = _plates_difference(
+        pair.T1, pair.T2, scales.T_eff, scales.delta_over_a, constants
     )
-    factor2 = 1.0 + (90.0 * z3 / pi ** 3) * scales.delta_over_a * (
-        scales.T_eff / (T1 + T2)
-    ) * (1.0 + T1 * T2 / (T1 * T1 + T2 * T2))
     return DifferenceResult(
-        delta_F=-factor1 * factor2,
+        delta_F=delta_F,
         factor1=factor1,
         factor2=factor2,
         approach=ApproachVariant.PLASMA_ZERO_FREQUENCY,
         geometry=ParallelPlates(),
-        validity=classify_validity(a_m, T1, T2, lambda_p),
+        validity=classify_validity(a_m, pair.T1, pair.T2, lambda_p),
     )
 
 
@@ -105,34 +147,18 @@ def delta_force_sphere(
     """
     a_m = positive("separation", a)
     geometry = SpherePlate(R)
-    T1, T2 = pair.T1, pair.T2
-    scales = derived_scales(a_m, T1, lambda_p, constants)
-    d = scales.delta_over_a
-    z3 = constants.zeta3
-    pi = constants.pi
-
-    factor1 = (
-        z3 * constants.k_B ** 3 * (T2 - T1) * (T1 * T1 + T2 * T2)
-        / (constants.hbar ** 2 * constants.c ** 2)
+    scales = derived_scales(a_m, pair.T1, lambda_p, constants)
+    delta_F, factor1, factor2, te_term = _sphere_difference(
+        a_m, pair.T1, pair.T2, geometry.R, scales.T_eff, scales.delta_over_a, approach, constants
     )
-    factor2 = (1.0 + T1 * T2 / (T1 * T1 + T2 * T2)) * (1.0 + 2.0 * d) - (
-        pi ** 3 / (45.0 * z3)
-    ) * ((T1 + T2) / scales.T_eff) * (1.0 + 4.0 * d)
-
-    te_term = 0.0
-    if approach is ApproachVariant.MODIFIED_TE:
-        te_term = (
-            constants.k_B * z3 * geometry.R / (8.0 * a_m ** 2)
-            * (T2 - T1) * (1.0 - 4.0 * d + 12.0 * d * d)
-        )
     return DifferenceResult(
-        delta_F=-geometry.R * factor1 * factor2 + te_term,
+        delta_F=delta_F,
         factor1=factor1,
         factor2=factor2,
         approach=approach,
         geometry=geometry,
         zero_frequency_te_term=te_term,
-        validity=classify_validity(a_m, T1, T2, lambda_p),
+        validity=classify_validity(a_m, pair.T1, pair.T2, lambda_p),
     )
 
 
@@ -146,6 +172,10 @@ class SweepSpec:
     spacing: str = "log"  # "log" or "linear"
 
     def __post_init__(self) -> None:
+        for end in ("start", "stop"):
+            value = getattr(self, end)
+            if not math.isfinite(value):
+                raise ValueError(f"grid {end} must be finite, got {value!r}")
         if self.points < 1:
             raise ValueError("grid needs at least one point")
         if self.points > 1 and not self.start < self.stop:
@@ -175,6 +205,12 @@ class SweepTable:
     rows: tuple[tuple[float, ...], ...]
 
 
+def _sphere_per_radius(a, T1, T2, R, delta, approach, constants: Constants):
+    """The sphere-plate delta_F / R column over an array of a or of T2."""
+    T_eff, d = gap_scales(a, delta, constants)
+    return _sphere_difference(a, T1, T2, R, T_eff, d, approach, constants)[0] / R
+
+
 def sweep_separation(
     pair: TemperaturePair,
     lambda_p: float,
@@ -185,23 +221,29 @@ def sweep_separation(
 ) -> SweepTable:
     """Difference force over a separation grid, with the ideal-metal companion
     column every figure contrasts against. Sphere-plate values are per unit
-    radius, so the result does not depend on the sphere's R."""
-    separations = grid.values()
-    rows = []
+    radius, so the result does not depend on the sphere's R.
+
+    The inputs are checked once (the grid is monotone, so at its ends) and
+    each column is one elementwise pass of the closed form over the grid;
+    every cell equals the scalar delta_force_* value (over R) bit for bit."""
+    a = grid.values()
+    for end in (a[0], a[-1]):
+        positive("separation", end)
+    delta = skin_depth_parameter(lambda_p)
+    T1, T2 = pair.T1, pair.T2
     if isinstance(geometry, ParallelPlates):
         columns = ("a_m", "dF_real_N_per_m2", "dF_ideal_N_per_m2")
-        for a in separations:
-            real = delta_force_plates(a, pair, lambda_p, constants).delta_F
-            ideal = delta_force_plates(a, pair, 0.0, constants).delta_F
-            rows.append((float(a), real, ideal))
+        real, ideal = (
+            _plates_difference(T1, T2, *gap_scales(a, depth, constants), constants)[0]
+            for depth in (delta, 0.0)
+        )
     else:
         columns = ("a_m", "dFps_over_R_real_N_per_m", "dFps_over_R_ideal_N_per_m")
-        R = geometry.R
-        for a in separations:
-            real = delta_force_sphere(a, pair, R, lambda_p, approach, constants).delta_F / R
-            ideal = delta_force_sphere(a, pair, R, 0.0, approach, constants).delta_F / R
-            rows.append((float(a), real, ideal))
-    return SweepTable(columns=columns, rows=tuple(rows))
+        real, ideal = (
+            _sphere_per_radius(a, T1, T2, geometry.R, depth, approach, constants)
+            for depth in (delta, 0.0)
+        )
+    return SweepTable(columns=columns, rows=tuple(zip(a.tolist(), real.tolist(), ideal.tolist())))
 
 
 def sweep_temperature(
@@ -213,24 +255,30 @@ def sweep_temperature(
     constants: Constants = CODATA2018,
 ) -> SweepTable:
     """Sphere-plate difference force per unit radius versus the upper
-    temperature, under both prescriptions, with the ideal-metal reference."""
+    temperature, under both prescriptions, with the ideal-metal reference.
+
+    As in sweep_separation, the inputs are checked once and each column is
+    one elementwise pass over the T2 grid, equal to the scalar values."""
+    T1 = positive("temperature", T1)
+    T2 = grid.values()
+    for end in (T2[0], T2[-1]):
+        positive("temperature", end)
+    a = positive("separation", a)
+    SpherePlate(R)  # checks R
+    delta = skin_depth_parameter(lambda_p)
+    plasma, mod_te, ideal = (
+        _sphere_per_radius(a, T1, T2, R, depth, approach, constants)
+        for depth, approach in (
+            (delta, ApproachVariant.PLASMA_ZERO_FREQUENCY),
+            (delta, ApproachVariant.MODIFIED_TE),
+            (0.0, ApproachVariant.PLASMA_ZERO_FREQUENCY),
+        )
+    )
     columns = (
         "T2_K",
         "dFps_over_R_plasma_N_per_m",
         "dFps_over_R_modified_te_N_per_m",
         "dFps_over_R_ideal_N_per_m",
     )
-    rows = []
-    for T2 in grid.values():
-        pair = TemperaturePair(T1, float(T2))
-        plasma = delta_force_sphere(
-            a, pair, R, lambda_p, ApproachVariant.PLASMA_ZERO_FREQUENCY, constants
-        ).delta_F / R
-        mod_te = delta_force_sphere(
-            a, pair, R, lambda_p, ApproachVariant.MODIFIED_TE, constants
-        ).delta_F / R
-        ideal = delta_force_sphere(
-            a, pair, R, 0.0, ApproachVariant.PLASMA_ZERO_FREQUENCY, constants
-        ).delta_F / R
-        rows.append((float(T2), plasma, mod_te, ideal))
+    rows = zip(T2.tolist(), plasma.tolist(), mod_te.tolist(), ideal.tolist())
     return SweepTable(columns=columns, rows=tuple(rows))

@@ -1,12 +1,15 @@
+import collections
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
+from casimir_delta import scenarios
 from casimir_delta.cli import build_parser, main
 
 
@@ -297,6 +300,55 @@ class TestUsage:
     def test_bad_lambda_p(self, capsys):
         rc, _, err = run(capsys, "fig1", "--lambda-p-nm", "-5")
         assert rc == 1
+
+
+class TestNonFiniteGrid:
+    @pytest.mark.parametrize("argv,message", [
+        (("fig1", "--a-max-um", "inf"), "grid stop must be finite, got inf"),
+        (("fig2", "--a-min-um", "nan"), "grid start must be finite, got nan"),
+        (("fig3", "--t2-k", "inf"), "grid stop must be finite, got inf"),
+        (("fig3", "--t1-k=-inf"), "grid start must be finite, got -inf"),
+    ])
+    def test_one_error_line(self, capsys, argv, message):
+        # a numpy RuntimeWarning from building the grid would raise here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run(capsys, *argv)
+        assert (rc, out, err) == (1, "", f"error: {message}\n")
+
+    def test_nonpositive_temperature_message_kept(self, capsys):
+        rc, out, err = run(capsys, "fig3", "--t1-k", "0")
+        assert (rc, out, err) == (1, "", "error: temperature must be positive, got 0.0\n")
+
+
+# every name in scenarios that a sweep could call once per grid point
+PER_POINT_NAMES = ("derived_scales", "classify_validity", "delta_force_plates",
+                   "delta_force_sphere", "gap_scales", "positive", "skin_depth_parameter")
+
+
+def test_figure_work_does_not_grow_with_points(monkeypatch, tmp_path):
+    # a call count, not a time: the sweeps check their inputs once and
+    # evaluate each column over the whole grid
+    counts = collections.Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in PER_POINT_NAMES:
+        monkeypatch.setattr(scenarios, name, counting(name, getattr(scenarios, name)))
+
+    def calls(points):
+        counts.clear()
+        for argv in (["fig1"], ["fig2", "--approach", "modified-te"], ["fig3"]):
+            argv += ["--points", str(points), "--output", str(tmp_path / "out")]
+            assert main(argv) == 0
+        return dict(counts)
+
+    few = calls(10)
+    assert few and few == calls(500)
 
 
 def test_parser_reuse_leaks_no_state_between_calls(capsys, tmp_path):

@@ -243,6 +243,28 @@ class TestEulerMaclaurinClose:
         plate_pressure(0.15e-6, 1.0, AU)
         assert len(seen) < 1000
 
+    def test_loose_tail_keeps_whole_blocks(self, monkeypatch):
+        # at tail 0.6, L = ln(1/tail) < 1 and ln L < 0: an unclamped stopping
+        # estimate goes negative, and 256 one-order blocks (261 calls) come
+        # before the close; 1e-9 makes 6 calls
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return order_integrals(*args)
+
+        order_integrals = lifshitz._order_integrals
+        monkeypatch.setattr(lifshitz, "_order_integrals", counting)
+        loose = plate_pressure(0.3e-6, 1.0, AU, matsubara=MatsubaraSpec(0.6))
+        assert len(calls) <= 10
+        tight = plate_pressure(0.3e-6, 1.0, AU, matsubara=MatsubaraSpec(1e-9))
+        assert loose == pytest.approx(tight, rel=1e-12, abs=0)
+
+    def test_loose_tail_at_room_temperature_unchanged(self):
+        # the value before ln L was clamped; blocks of 2 orders in place of 1
+        got = plate_pressure(0.5e-6, 300.0, AU, matsubara=MatsubaraSpec(0.6))
+        assert repr(got) == "-0.011316384607214834"
+
 
 class TestProximityForce:
     def test_two_pi_r_identity(self):

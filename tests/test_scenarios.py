@@ -1,5 +1,7 @@
+import math
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from casimir_delta.dielectric import ApproachVariant
 from casimir_delta.lifshitz import ParallelPlates, SpherePlate
@@ -170,7 +172,69 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             SweepSpec(0.0, 2e-6, 5, "log")
 
+    @pytest.mark.parametrize("start,stop", [
+        (1e-6, math.inf), (math.nan, 2e-6), (-math.inf, 2e-6), (1e-6, math.nan),
+    ])
+    def test_non_finite_end_rejected(self, start, stop):
+        with pytest.raises(ValueError, match="must be finite"):
+            SweepSpec(start, stop, 5, "linear")
+
     def test_defaults(self):
         assert DEFAULT_SEPARATION_GRID.points == 75
         assert DEFAULT_TEMPERATURE_GRID.points == 51
         assert DEFAULT_TEMPERATURE_GRID.spacing == "linear"
+
+
+class TestSweepEqualsScalar:
+    """Every sweep cell is the scalar closed form's float (over R for the
+    sphere), signed zeros included, so the cells are compared by repr."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        start=st.floats(min_value=0.05e-6, max_value=2e-6),
+        ratio=st.floats(min_value=1.0001, max_value=40.0),
+        points=st.integers(min_value=1, max_value=30),
+        spacing=st.sampled_from(["log", "linear"]),
+        t1=st.floats(min_value=1.0, max_value=400.0),
+        t2=st.floats(min_value=1.0, max_value=400.0),
+        lam=st.sampled_from([0.0, AU_LP]) | st.floats(min_value=1e-9, max_value=500e-9),
+        R=st.floats(min_value=1e-4, max_value=1e-2),
+    )
+    # at 0.473 um CPython's a ** 2 (libm pow) is not the exact square a * a
+    @example(start=0.473e-6, ratio=2.0, points=1, spacing="log", t1=300.0, t2=350.0,
+             lam=AU_LP, R=1e-3)
+    @example(start=0.15e-6, ratio=2.0, points=5, spacing="linear", t1=320.0, t2=320.0,
+             lam=AU_LP, R=1e-3)
+    def test_separation_sweep(self, start, ratio, points, spacing, t1, t2, lam, R):
+        grid = SweepSpec(start, start * ratio, points, spacing)
+        pair = TemperaturePair(t1, t2)
+        table = sweep_separation(pair, lam, ParallelPlates(), grid=grid)
+        for a, real, ideal in table.rows:
+            assert repr(real) == repr(delta_force_plates(a, pair, lam).delta_F)
+            assert repr(ideal) == repr(delta_force_plates(a, pair, 0.0).delta_F)
+        for approach in (PLASMA, MOD_TE):
+            table = sweep_separation(pair, lam, SpherePlate(R), approach, grid)
+            for a, real, ideal in table.rows:
+                for value, lam_ in ((real, lam), (ideal, 0.0)):
+                    scalar = delta_force_sphere(a, pair, R, lam_, approach).delta_F / R
+                    assert repr(value) == repr(scalar)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        a=st.floats(min_value=0.05e-6, max_value=5e-6),
+        t1=st.floats(min_value=1.0, max_value=400.0),
+        rise=st.floats(min_value=0.001, max_value=100.0),
+        points=st.integers(min_value=1, max_value=30),
+        spacing=st.sampled_from(["log", "linear"]),
+        lam=st.sampled_from([0.0, AU_LP]) | st.floats(min_value=1e-9, max_value=500e-9),
+        R=st.floats(min_value=1e-4, max_value=1e-2),
+    )
+    @example(a=0.473e-6, t1=300.0, rise=50.0, points=51, spacing="linear", lam=AU_LP, R=1e-3)
+    def test_temperature_sweep(self, a, t1, rise, points, spacing, lam, R):
+        table = sweep_temperature(a, t1, lam, R, SweepSpec(t1, t1 + rise, points, spacing))
+        for T2, plasma, mod_te, ideal in table.rows:
+            pair = TemperaturePair(t1, T2)
+            for value, lam_, approach in ((plasma, lam, PLASMA), (mod_te, lam, MOD_TE),
+                                          (ideal, 0.0, PLASMA)):
+                scalar = delta_force_sphere(a, pair, R, lam_, approach).delta_F / R
+                assert repr(value) == repr(scalar)
