@@ -51,6 +51,6 @@ from .scenarios import (
     sweep_separation,
     sweep_temperature,
 )
-from .validation import CheckResult, ValidationReport, run_acceptance_checks
+from .validation import CheckResult, run_acceptance_checks
 
 __version__ = "0.1.0"

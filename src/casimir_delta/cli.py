@@ -83,7 +83,7 @@ def _config_flags(args: argparse.Namespace) -> list[str]:
             raise UsageError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, value = (part.strip() for part in line.partition("="))
         dest = key.replace("-", "_")
-        if dest == "command" or not hasattr(args, dest):
+        if dest in ("command", "config") or not hasattr(args, dest):
             raise UsageError(f"unknown config key {key!r}")
         flag = "--" + dest.replace("_", "-")
         if not isinstance(getattr(args, dest), bool):
@@ -205,11 +205,14 @@ def _emit_table(table: SweepTable, cfg: dict, args: argparse.Namespace,
 
 
 def _write(text: str, output: Optional[str]) -> None:
-    if output:
+    if not output:
+        sys.stdout.write(text)
+        return
+    try:
         with open(output, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {output}: {exc}") from exc
 
 
 def _lambda_p(args: argparse.Namespace) -> float:
@@ -314,11 +317,12 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    report = run_acceptance_checks()
+    checks = run_acceptance_checks()
+    all_passed = all(c.passed for c in checks)
     if args.format == "json":
         payload = {
             "version": __version__,
-            "all_passed": report.all_passed,
+            "all_passed": all_passed,
             "checks": [
                 {
                     "id": c.check_id,
@@ -327,16 +331,16 @@ def cmd_validate(args: argparse.Namespace) -> int:
                     "expected": c.expected,
                     "detail": c.detail,
                 }
-                for c in report.checks
+                for c in checks
             ],
         }
         _write(json.dumps(payload, indent=2) + "\n", args.output)
     else:
-        lines = [c.line() for c in report.checks]
-        n_fail = sum(not c.passed for c in report.checks)
-        lines.append(f"{len(report.checks) - n_fail}/{len(report.checks)} checks passed")
+        lines = [c.line() for c in checks]
+        n_fail = sum(not c.passed for c in checks)
+        lines.append(f"{len(checks) - n_fail}/{len(checks)} checks passed")
         _write("\n".join(lines) + "\n", args.output)
-    return 0 if report.all_passed else 3
+    return 0 if all_passed else 3
 
 
 _COMMANDS = {
@@ -359,10 +363,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             at = argv.index(args.command) + 1
             args = parser.parse_args(argv[:at] + _config_flags(args) + argv[at:])
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except QuadratureError as exc:

@@ -73,20 +73,18 @@ class QuadratureSpec:
     the change of the exp-sinh sum when its step is halved, relative to the
     order's integral; the finer sum is kept, and its own error is far smaller
     because the rule converges double-exponentially. An order also passes
-    when the change is at most absolute_floor. For the zero-frequency TE
-    term both are scipy quad's epsrel and epsabs; that term is the only
+    when the change is at most ABSOLUTE_FLOOR. For the zero-frequency TE
+    term the two are scipy quad's epsrel and epsabs; that term is the only
     user of scipy, which it imports on its first call.
     """
 
     relative_tolerance: float = 1e-9
-    absolute_floor: float = 1e-300
 
     def __post_init__(self) -> None:
         _require_tolerance("relative_tolerance", self.relative_tolerance)
-        if not 0.0 <= self.absolute_floor < math.inf:
-            raise ValueError(f"absolute_floor must be finite and >= 0, got {self.absolute_floor!r}")
 
 
+ABSOLUTE_FLOOR = 1e-300  # absolute quadrature tolerance; see QuadratureSpec
 DEFAULT_MATSUBARA = MatsubaraSpec()
 DEFAULT_QUADRATURE = QuadratureSpec()
 
@@ -169,7 +167,7 @@ def _order_integrals(
         gap = np.abs(result[rows] - coarse)
         # written so that a NaN counts as unmet
         unmet = ~(gap <= np.maximum(quadrature.relative_tolerance * np.abs(result[rows]),
-                                    quadrature.absolute_floor))
+                                    ABSOLUTE_FLOOR))
         rows, gap = rows[unmet], gap[unmet]
         if rows.size == 0:
             return result
@@ -401,7 +399,7 @@ def te_zero_frequency_sphere_term(
         f,
         0.0,
         math.inf,
-        epsabs=quadrature.absolute_floor,
+        epsabs=ABSOLUTE_FLOOR,
         epsrel=quadrature.relative_tolerance,
         limit=200,
         full_output=1,

@@ -1,17 +1,22 @@
 """Acceptance checklist: every quantitative claim the library is expected to
-reproduce, each with a stable identifier, the measured value, the expected
-band, and a pass flag. Shared by the test suite and the `validate` CLI
-command."""
+reproduce, as one table of rows (check id, measure, band, detail). A measure
+maps the physical constants to the one number the claim is about; the band is
+the text the report prints, and `passes` reads the pass test from that same
+text. Shared by the test suite and the `validate` CLI command."""
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+import operator
+import re
+from dataclasses import dataclass
+from functools import partial
 
 from .dielectric import ApproachVariant, IdealMetal, Plasma
 from .lifshitz import (
     MatsubaraSpec,
+    ParallelPlates,
     QuadratureSpec,
+    SpherePlate,
     plate_free_energy_per_area,
     plate_pressure,
     sphere_plate_force_pfa,
@@ -32,9 +37,12 @@ from .scenarios import (
     sweep_separation,
     sweep_temperature,
 )
-from .lifshitz import ParallelPlates, SpherePlate
 
 AU_LAMBDA_P = 136e-9  # m
+GOLD = Plasma(AU_LAMBDA_P)
+PAIR = TemperaturePair(300.0, 350.0)
+PLASMA = ApproachVariant.PLASMA_ZERO_FREQUENCY
+MODIFIED_TE = ApproachVariant.MODIFIED_TE
 
 
 @dataclass(frozen=True)
@@ -51,305 +59,211 @@ class CheckResult:
         return f"{status} {self.check_id}: measured {self.measured:.6g}, expected {self.expected}{extra}"
 
 
-@dataclass
-class ValidationReport:
-    checks: list[CheckResult] = field(default_factory=list)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def add(self, check: CheckResult) -> None:
-        self.checks.append(check)
+_COMPARE = {"<=": operator.le, "<": operator.lt, ">": operator.gt}
+_INTERVAL = re.compile(r"([(\[])(\S+), (\S+)([)\]])(?: \S+)?")  # an optional unit follows
+_HOLDS = ("single value across separations", "strictly decreasing")  # measured 1.0 if so
 
 
-def _within(measured: float, target: float, rel: float) -> bool:
-    return abs(measured - target) <= rel * abs(target)
+def passes(band: str, x: float) -> bool:
+    """Whether x lies in band, read from its text: '<= b', '< b', '> b', 't +-p%',
+    '(lo, hi)' or '[lo, hi]' with a unit after, '0 exactly', or one of _HOLDS."""
+    if band == "0 exactly":
+        return x == 0.0
+    if band in _HOLDS:
+        return x == 1.0
+    op, _, bound = band.partition(" ")
+    if op in _COMPARE:
+        return _COMPARE[op](x, float(bound))
+    if band.endswith("%"):
+        target, _, pct = band[:-1].partition(" +-")
+        t = float(target)
+        return abs(x - t) <= float(pct) / 100.0 * abs(t)
+    m = _INTERVAL.fullmatch(band)
+    if m is None:
+        raise ValueError(f"unreadable band {band!r}")
+    lo, hi = float(m[2]), float(m[3])
+    above = lo <= x if m[1] == "[" else lo < x
+    return above and (x <= hi if m[4] == "]" else x < hi)
 
 
-def check_thermal_correction_percentages(constants: Constants = CODATA2018) -> list[CheckResult]:
-    """Criteria 1 and 2: ideal-metal relative thermal corrections at 300 K."""
-    out = []
-
-    def plate_corr(a: float) -> float:
-        return plate_force_perturbative(a, 300.0, 0.0, constants).terms.thermal_ideal
-
-    def sphere_corr(a: float) -> float:
-        res = sphere_force_perturbative(a, 300.0, 1e-3, 0.0, constants=constants)
-        return res.terms.thermal_ideal
-
-    for check_id, value, target in [
-        ("pp-thermal-1um=0.16pct", plate_corr(1e-6), 0.0016),
-        ("pp-thermal-2um=2.5pct", plate_corr(2e-6), 0.025),
-        ("ps-thermal-1um=2.7pct", sphere_corr(1e-6), 0.027),
-    ]:
-        out.append(CheckResult(check_id, _within(value, target, 0.10), value, f"{target} +-10%"))
-
-    v = sphere_corr(2e-6)
-    out.append(
-        CheckResult(
-            "ps-thermal-2um-in-[17,19]pct",
-            0.17 <= v <= 0.19,
-            v,
-            "[0.17, 0.19]",
-            detail="exact-computation reference is 18.2%; the explicit truncation gives ~17.6%",
-        )
-    )
-    return out
+def _dF_plates(a, c: Constants, pair=PAIR, lambda_p=AU_LAMBDA_P) -> float:
+    return delta_force_plates(a, pair, lambda_p, c).delta_F
 
 
-def check_figure_ratios(constants: Constants = CODATA2018) -> list[CheckResult]:
-    """Criteria 3 and 4: small-over-large-separation difference-force ratios."""
-    pair = TemperaturePair(300.0, 350.0)
-    r_pp = abs(delta_force_plates(0.15e-6, pair, AU_LAMBDA_P, constants).delta_F) / abs(
-        delta_force_plates(2e-6, pair, AU_LAMBDA_P, constants).delta_F
-    )
-    r_ps = abs(
-        delta_force_sphere(0.15e-6, pair, 1e-3, AU_LAMBDA_P, constants=constants).delta_F
-    ) / abs(delta_force_sphere(2e-6, pair, 1e-3, AU_LAMBDA_P, constants=constants).delta_F)
-    return [
-        CheckResult("fig1-ratio>9", 9.0 < r_pp < 10.0, r_pp, "(9, 10)"),
-        CheckResult("fig2-ratio>2", 2.0 < r_ps < 2.5, r_ps, "(2, 2.5)"),
-    ]
+def _dF_sphere(a, c: Constants, pair=PAIR, R=1e-3, approach=PLASMA) -> float:
+    return delta_force_sphere(a, pair, R, AU_LAMBDA_P, approach, c).delta_F
 
 
-def check_approach_contrast(constants: Constants = CODATA2018) -> list[CheckResult]:
-    """Criteria 5 and 6: the two prescriptions at a = 0.5 um, 300 -> 350 K."""
-    out = []
-    a, R = 0.5e-6, 2e-3
-    pair = TemperaturePair(300.0, 350.0)
-    plasma = delta_force_sphere(
-        a, pair, R, AU_LAMBDA_P, ApproachVariant.PLASMA_ZERO_FREQUENCY, constants
-    ).delta_F
-    mod_te = delta_force_sphere(
-        a, pair, R, AU_LAMBDA_P, ApproachVariant.MODIFIED_TE, constants
-    ).delta_F
-    ratio = abs(mod_te) / abs(plasma)
-    out.append(CheckResult("fig3-modte/plasma-ratio>6", ratio > 6.0, ratio, "> 6"))
-    out.append(CheckResult("fig3-modte-positive", mod_te > 0.0, mod_te, "> 0"))
-    out.append(CheckResult("fig3-plasma-negative", plasma < 0.0, plasma, "< 0"))
-
-    table = sweep_temperature(a, 300.0, AU_LAMBDA_P, R, DEFAULT_TEMPERATURE_GRID, constants)
-    worst = 0.0
-    for T2, pl, _, ideal in table.rows:
-        if T2 == 300.0:
-            continue  # both columns are exactly zero
-        worst = max(worst, abs(ideal - pl) / abs(pl))
-    out.append(
-        CheckResult("fig3-ideal-within-10pct-of-plasma", worst <= 0.10, worst, "<= 0.10")
-    )
-
-    out.append(
-        CheckResult(
-            "magnitude-order-1e-13N",
-            0.5e-13 <= abs(plasma) <= 2e-13,
-            abs(plasma),
-            "[0.5e-13, 2e-13] N",
-        )
-    )
-    return out
+# per geometry (R = 1 mm), the engine's force at (a, T) and the closed-form dF at a
+_ENGINE = {"pp": lambda a, T, c: plate_pressure(a, T, GOLD, constants=c),
+           "ps": lambda a, T, c: sphere_plate_force_pfa(a, T, 1e-3, GOLD, constants=c)}
+_CLOSED_FORM = {"pp": _dF_plates, "ps": _dF_sphere}
 
 
-def check_oracle_absolute(
-    constants: Constants = CODATA2018,
-    matsubara: MatsubaraSpec = MatsubaraSpec(),
-    quadrature: QuadratureSpec = QuadratureSpec(),
-) -> list[CheckResult]:
-    """Criterion 7: perturbative plate force vs the Lifshitz pressure, 3%.
-
-    The closed form carries the conductivity series through third order in
-    delta/a, so the gap budget is the omitted fourth-order remainder plus the
-    truncated thermal cross terms: ~0.1% at 0.5 um for gold, falling to
-    ~0.006% at 1 um.
-    """
-    out = []
-    model = Plasma(AU_LAMBDA_P)
-    for a in (0.5e-6, 0.7e-6, 1.0e-6):
-        for T in (300.0, 350.0):
-            oracle = plate_pressure(
-                a, T, model, ApproachVariant.PLASMA_ZERO_FREQUENCY,
-                matsubara, quadrature, constants,
-            )
-            pert = plate_force_perturbative(a, T, AU_LAMBDA_P, constants).value
-            rel = abs(pert - oracle) / abs(oracle)
-            out.append(
-                CheckResult(
-                    f"oracle-pp-abs-3pct-a={a * 1e6:g}um-T={T:g}K",
-                    rel <= 0.03,
-                    rel,
-                    "<= 0.03",
-                    detail="gap is the omitted fourth-order conductivity remainder",
-                )
-            )
-    return out
+def _plate_thermal(a: float, c: Constants) -> float:
+    return plate_force_perturbative(a, 300.0, 0.0, c).terms.thermal_ideal
 
 
-def check_oracle_difference(
-    constants: Constants = CODATA2018,
-    matsubara: MatsubaraSpec = MatsubaraSpec(),
-    quadrature: QuadratureSpec = QuadratureSpec(),
-) -> list[CheckResult]:
-    """Criterion 8: closed-form difference forces vs engine finite differences."""
-    out = []
-    model = Plasma(AU_LAMBDA_P)
-    pair = TemperaturePair(300.0, 350.0)
-    R = 1e-3
-    for a in (0.3e-6, 0.5e-6, 1.0e-6):
-        eng_pp = plate_pressure(
-            a, pair.T2, model, matsubara=matsubara, quadrature=quadrature, constants=constants
-        ) - plate_pressure(
-            a, pair.T1, model, matsubara=matsubara, quadrature=quadrature, constants=constants
-        )
-        ana_pp = delta_force_plates(a, pair, AU_LAMBDA_P, constants).delta_F
-        rel_pp = abs(ana_pp - eng_pp) / abs(eng_pp)
-        out.append(
-            CheckResult(
-                f"oracle-dFpp-5pct-a={a * 1e6:g}um", rel_pp <= 0.05, rel_pp, "<= 0.05"
-            )
-        )
-
-        eng_ps = sphere_plate_force_pfa(
-            a, pair.T2, R, model, matsubara=matsubara, quadrature=quadrature, constants=constants
-        ) - sphere_plate_force_pfa(
-            a, pair.T1, R, model, matsubara=matsubara, quadrature=quadrature, constants=constants
-        )
-        ana_ps = delta_force_sphere(a, pair, R, AU_LAMBDA_P, constants=constants).delta_F
-        rel_ps = abs(ana_ps - eng_ps) / abs(eng_ps)
-        out.append(
-            CheckResult(
-                f"oracle-dFps-5pct-a={a * 1e6:g}um", rel_ps <= 0.05, rel_ps, "<= 0.05"
-            )
-        )
-    return out
+def _sphere_thermal(a: float, c: Constants) -> float:
+    return sphere_force_perturbative(a, 300.0, 1e-3, 0.0, constants=c).terms.thermal_ideal
 
 
-def check_te_zero_frequency(constants: Constants = CODATA2018) -> list[CheckResult]:
-    """Criterion 9: zero-frequency TE quadrature vs its asymptotic expansion."""
-    out = []
-    R, T = 1e-3, 300.0
-    for a in (0.5e-6, 1.0e-6, 2.0e-6):
-        quad_val = te_zero_frequency_sphere_term(a, T, R, AU_LAMBDA_P, constants=constants)
-        asym = te_zero_frequency_asymptotic(a, T, R, AU_LAMBDA_P, constants)
-        rel = abs(asym - quad_val) / abs(quad_val)
-        out.append(
-            CheckResult(
-                f"eq-te0-asym-0.5pct-a={a * 1e6:g}um", rel <= 0.005, rel, "<= 0.005"
-            )
-        )
-    # near-ideal limit: remaining skin-depth corrections are ~1e-13 relative
+def _small_over_large(dF, c: Constants) -> float:
+    return abs(dF(0.15e-6, c)) / abs(dF(2e-6, c))
+
+
+def _contrast(approach: ApproachVariant, c: Constants) -> float:
+    """Sphere dF under one prescription at a = 0.5 um, R = 2 mm, 300 -> 350 K."""
+    return _dF_sphere(0.5e-6, c, R=2e-3, approach=approach)
+
+
+def _ideal_vs_plasma_fig3(c: Constants) -> float:
+    table = sweep_temperature(0.5e-6, 300.0, AU_LAMBDA_P, 2e-3, DEFAULT_TEMPERATURE_GRID, c)
+    # at T2 = T1 = 300 K both columns are exactly zero
+    return max(abs(ideal - pl) / abs(pl) for T2, pl, _, ideal in table.rows if T2 != 300.0)
+
+
+def _plate_absolute(a: float, T: float, c: Constants) -> float:
+    """Perturbative plate force vs the Lifshitz pressure. The closed form
+    carries the conductivity series through third order in delta/a, so the
+    gap is the omitted fourth-order remainder plus the truncated thermal cross
+    terms: ~0.1% at 0.5 um for gold, falling to ~0.006% at 1 um."""
+    oracle = _ENGINE["pp"](a, T, c)
+    pert = plate_force_perturbative(a, T, AU_LAMBDA_P, c).value
+    return abs(pert - oracle) / abs(oracle)
+
+
+def _difference(geometry: str, a: float, c: Constants) -> float:
+    """Closed-form dF vs the engine's P(T2) - P(T1), or F for the sphere."""
+    engine, closed_form = _ENGINE[geometry], _CLOSED_FORM[geometry]
+    eng = engine(a, PAIR.T2, c) - engine(a, PAIR.T1, c)
+    return abs(closed_form(a, c) - eng) / abs(eng)
+
+
+def _te0(a: float, lambda_p: float, c: Constants) -> float:
+    """Zero-frequency TE quadrature vs its asymptotic expansion."""
+    quad_val = te_zero_frequency_sphere_term(a, 300.0, 1e-3, lambda_p, constants=c)
+    asym = te_zero_frequency_asymptotic(a, 300.0, 1e-3, lambda_p, c)
+    return abs(asym - quad_val) / abs(quad_val)
+
+
+def _antisymmetry(c: Constants) -> float:
     a = 0.5e-6
-    quad_val = te_zero_frequency_sphere_term(a, T, R, 1e-12, constants=constants)
-    asym = te_zero_frequency_asymptotic(a, T, R, 1e-12, constants)
-    rel = abs(asym - quad_val) / abs(quad_val)
-    out.append(CheckResult("eq-te0-ideal-limit-1e-6", rel <= 1e-6, rel, "<= 1e-6"))
-    return out
+    fwd, bwd = _dF_plates(a, c), _dF_plates(a, c, PAIR.swapped())
+    fwd_s = _dF_sphere(a, c, approach=MODIFIED_TE)
+    bwd_s = _dF_sphere(a, c, PAIR.swapped(), approach=MODIFIED_TE)
+    return max(abs(fwd + bwd) / abs(fwd), abs(fwd_s + bwd_s) / abs(fwd_s))
 
 
-def check_properties(constants: Constants = CODATA2018) -> list[CheckResult]:
-    """Criterion 10: structural invariants and zero-temperature limits."""
-    out = []
-    pair = TemperaturePair(300.0, 350.0)
-    a, R = 0.5e-6, 1e-3
+def _zero_at_equal_T(c: Constants) -> float:
+    eq = TemperaturePair(320.0, 320.0)
+    return max(abs(_dF_plates(0.5e-6, c, eq)),
+               abs(_dF_sphere(0.5e-6, c, eq, approach=MODIFIED_TE)))
 
-    fwd = delta_force_plates(a, pair, AU_LAMBDA_P, constants).delta_F
-    bwd = delta_force_plates(a, pair.swapped(), AU_LAMBDA_P, constants).delta_F
-    fwd_s = delta_force_sphere(
-        a, pair, R, AU_LAMBDA_P, ApproachVariant.MODIFIED_TE, constants
-    ).delta_F
-    bwd_s = delta_force_sphere(
-        a, pair.swapped(), R, AU_LAMBDA_P, ApproachVariant.MODIFIED_TE, constants
-    ).delta_F
-    anti = max(abs(fwd + bwd) / abs(fwd), abs(fwd_s + bwd_s) / abs(fwd_s))
-    out.append(CheckResult("prop-antisymmetry-T1T2", anti == 0.0, anti, "0 exactly"))
 
-    eq_pair = TemperaturePair(320.0, 320.0)
-    z = max(
-        abs(delta_force_plates(a, eq_pair, AU_LAMBDA_P, constants).delta_F),
-        abs(delta_force_sphere(a, eq_pair, R, AU_LAMBDA_P,
-                               ApproachVariant.MODIFIED_TE, constants).delta_F),
-    )
-    out.append(CheckResult("prop-zero-at-equal-T", z == 0.0, z, "0 exactly"))
+def _ideal_plate_values(c: Constants) -> float:
+    return float(len({_dF_plates(x, c, lambda_p=0.0) for x in (0.2e-6, 0.7e-6, 1.5e-6)}))
 
-    ideal_vals = {
-        delta_force_plates(x, pair, 0.0, constants).delta_F
-        for x in (0.2e-6, 0.7e-6, 1.5e-6)
-    }
-    out.append(
-        CheckResult(
-            "prop-ideal-plates-a-independent",
-            len(ideal_vals) == 1,
-            float(len(ideal_vals)),
-            "single value across separations",
-        )
-    )
 
-    mono_ok = True
-    for geometry in (ParallelPlates(), SpherePlate(R)):
-        table = sweep_separation(pair, AU_LAMBDA_P, geometry, grid=DEFAULT_SEPARATION_GRID,
-                                 constants=constants)
+def _monotone(c: Constants) -> float:
+    def decreasing(geometry) -> bool:
+        table = sweep_separation(PAIR, AU_LAMBDA_P, geometry, grid=DEFAULT_SEPARATION_GRID,
+                                 constants=c)
         mags = [abs(r[1]) for r in table.rows]
-        mono_ok = mono_ok and all(x > y for x, y in zip(mags, mags[1:]))
-    out.append(
-        CheckResult("prop-monotone-decrease", mono_ok, float(mono_ok), "strictly decreasing")
-    )
+        return all(x > y for x, y in zip(mags, mags[1:]))
 
-    model = Plasma(AU_LAMBDA_P)
-    f1 = sphere_plate_force_pfa(a, 300.0, 1e-3, model, constants=constants)
-    f2 = sphere_plate_force_pfa(a, 300.0, 2e-3, model, constants=constants)
-    lin = abs(f2 - 2.0 * f1) / abs(f2)
-    out.append(CheckResult("prop-pfa-linear-in-R", lin <= 1e-15, lin, "<= 1e-15"))
+    return float(all(decreasing(g) for g in (ParallelPlates(), SpherePlate(1e-3))))
 
-    # T -> 0 limits, probed at 1 K where thermal terms are ~1e-8 relative.
-    # Tail tolerance 1e-7, 1e4 times tighter than the 0.1% band; the sums at
-    # 1 K are closed by the Euler-Maclaurin tail, which leaves far less error.
-    cold = MatsubaraSpec(relative_tail_tolerance=1e-7)
+
+def _pfa_linear_in_R(c: Constants) -> float:
+    f1 = sphere_plate_force_pfa(0.5e-6, 300.0, 1e-3, GOLD, constants=c)
+    f2 = sphere_plate_force_pfa(0.5e-6, 300.0, 2e-3, GOLD, constants=c)
+    return abs(f2 - 2.0 * f1) / abs(f2)
+
+
+# T -> 0 limits, probed at 1 K where thermal terms are ~1e-8 relative. Tail
+# tolerance 1e-7, 1e4 times tighter than the 0.1% band; the sums at 1 K are
+# closed by the Euler-Maclaurin tail, which leaves far less error.
+COLD = MatsubaraSpec(relative_tail_tolerance=1e-7)
+
+
+def _ideal_T0_pressure(c: Constants) -> float:
     a0 = 1e-6
-    p0 = plate_pressure(a0, 1.0, IdealMetal(), matsubara=cold, constants=constants)
-    p_ref = -constants.pi ** 2 * constants.hbar * constants.c / (240.0 * a0 ** 4)
-    rel_p = abs(p0 - p_ref) / abs(p_ref)
-    out.append(CheckResult("prop-ideal-T0-pressure-0.1pct", rel_p <= 1e-3, rel_p, "<= 1e-3"))
+    p0 = plate_pressure(a0, 1.0, IdealMetal(), matsubara=COLD, constants=c)
+    p_ref = -c.pi ** 2 * c.hbar * c.c / (240.0 * a0 ** 4)
+    return abs(p0 - p_ref) / abs(p_ref)
 
-    f0 = sphere_plate_force_pfa(a0, 1.0, R, IdealMetal(), matsubara=cold, constants=constants)
-    f_ref = -constants.pi ** 3 * constants.hbar * constants.c * R / (360.0 * a0 ** 3)
-    rel_f = abs(f0 - f_ref) / abs(f_ref)
-    out.append(CheckResult("prop-ideal-T0-sphere-0.1pct", rel_f <= 1e-3, rel_f, "<= 1e-3"))
 
-    # thermodynamic identity P = -dF/da; Richardson-extrapolated central
-    # difference, noise floor set by quadrature tolerance / differencing
-    # conditioning (~a/h amplification), hence the 1e-6 band
-    tight_m = MatsubaraSpec(relative_tail_tolerance=1e-11)
-    tight_q = QuadratureSpec(relative_tolerance=1e-11)
+def _ideal_T0_sphere(c: Constants) -> float:
+    a0, R = 1e-6, 1e-3
+    f0 = sphere_plate_force_pfa(a0, 1.0, R, IdealMetal(), matsubara=COLD, constants=c)
+    f_ref = -c.pi ** 3 * c.hbar * c.c * R / (360.0 * a0 ** 3)
+    return abs(f0 - f_ref) / abs(f_ref)
+
+
+# thermodynamic identity P = -dF/da; Richardson-extrapolated central
+# difference, noise floor set by quadrature tolerance / differencing
+# conditioning (~a/h amplification), hence the 1e-6 band
+TIGHT_M = MatsubaraSpec(relative_tail_tolerance=1e-11)
+TIGHT_Q = QuadratureSpec(relative_tolerance=1e-11)
+
+
+def _thermodynamic_identity(c: Constants) -> float:
+    def F(x: float) -> float:
+        return plate_free_energy_per_area(x, 300.0, GOLD, matsubara=TIGHT_M,
+                                          quadrature=TIGHT_Q, constants=c)
+
     worst = 0.0
     for ax in (0.4e-6, 0.7e-6, 1.2e-6):
         h = 5e-3 * ax
-
-        def F(x: float) -> float:
-            return plate_free_energy_per_area(
-                x, 300.0, model, matsubara=tight_m, quadrature=tight_q, constants=constants
-            )
-
         d1 = (F(ax + h) - F(ax - h)) / (2.0 * h)
         d2 = (F(ax + h / 2.0) - F(ax - h / 2.0)) / h
         dF_da = (4.0 * d2 - d1) / 3.0
-        p = plate_pressure(
-            ax, 300.0, model, matsubara=tight_m, quadrature=tight_q, constants=constants
-        )
+        p = plate_pressure(ax, 300.0, GOLD, matsubara=TIGHT_M, quadrature=TIGHT_Q, constants=c)
         worst = max(worst, abs(-dF_da - p) / abs(p))
-    out.append(CheckResult("prop-thermodynamic-identity", worst <= 1e-6, worst, "<= 1e-6"))
-    return out
+    return worst
 
 
-def run_acceptance_checks(constants: Constants = CODATA2018) -> ValidationReport:
-    """Run the complete checklist. Takes ~1 minute with default tolerances."""
-    report = ValidationReport()
-    for check in (
-        check_thermal_correction_percentages(constants)
-        + check_figure_ratios(constants)
-        + check_approach_contrast(constants)
-        + check_oracle_absolute(constants)
-        + check_oracle_difference(constants)
-        + check_te_zero_frequency(constants)
-        + check_properties(constants)
-    ):
-        report.add(check)
-    return report
+# (check id, measure, band, detail), in report order
+CHECKS = [
+    ("pp-thermal-1um=0.16pct", partial(_plate_thermal, 1e-6), "0.0016 +-10%", ""),
+    ("pp-thermal-2um=2.5pct", partial(_plate_thermal, 2e-6), "0.025 +-10%", ""),
+    ("ps-thermal-1um=2.7pct", partial(_sphere_thermal, 1e-6), "0.027 +-10%", ""),
+    ("ps-thermal-2um-in-[17,19]pct", partial(_sphere_thermal, 2e-6), "[0.17, 0.19]",
+     "exact-computation reference is 18.2%; the explicit truncation gives ~17.6%"),
+    ("fig1-ratio>9", partial(_small_over_large, _dF_plates), "(9, 10)", ""),
+    ("fig2-ratio>2", partial(_small_over_large, _dF_sphere), "(2, 2.5)", ""),
+    ("fig3-modte/plasma-ratio>6",
+     lambda c: abs(_contrast(MODIFIED_TE, c)) / abs(_contrast(PLASMA, c)), "> 6", ""),
+    ("fig3-modte-positive", partial(_contrast, MODIFIED_TE), "> 0", ""),
+    ("fig3-plasma-negative", partial(_contrast, PLASMA), "< 0", ""),
+    ("fig3-ideal-within-10pct-of-plasma", _ideal_vs_plasma_fig3, "<= 0.10", ""),
+    ("magnitude-order-1e-13N", lambda c: abs(_contrast(PLASMA, c)), "[0.5e-13, 2e-13] N", ""),
+    *((f"oracle-pp-abs-3pct-a={a * 1e6:g}um-T={T:g}K", partial(_plate_absolute, a, T), "<= 0.03",
+       "gap is the omitted fourth-order conductivity remainder")
+      for a in (0.5e-6, 0.7e-6, 1.0e-6) for T in (300.0, 350.0)),
+    *((f"oracle-dF{g}-5pct-a={a * 1e6:g}um", partial(_difference, g, a), "<= 0.05", "")
+      for a in (0.3e-6, 0.5e-6, 1.0e-6) for g in _ENGINE),
+    *((f"eq-te0-asym-0.5pct-a={a * 1e6:g}um", partial(_te0, a, AU_LAMBDA_P), "<= 0.005", "")
+      for a in (0.5e-6, 1.0e-6, 2.0e-6)),
+    # near-ideal limit: remaining skin-depth corrections are ~1e-13 relative
+    ("eq-te0-ideal-limit-1e-6", partial(_te0, 0.5e-6, 1e-12), "<= 1e-6", ""),
+    ("prop-antisymmetry-T1T2", _antisymmetry, "0 exactly", ""),
+    ("prop-zero-at-equal-T", _zero_at_equal_T, "0 exactly", ""),
+    ("prop-ideal-plates-a-independent", _ideal_plate_values, "single value across separations", ""),
+    ("prop-monotone-decrease", _monotone, "strictly decreasing", ""),
+    ("prop-pfa-linear-in-R", _pfa_linear_in_R, "<= 1e-15", ""),
+    ("prop-ideal-T0-pressure-0.1pct", _ideal_T0_pressure, "<= 1e-3", ""),
+    ("prop-ideal-T0-sphere-0.1pct", _ideal_T0_sphere, "<= 1e-3", ""),
+    ("prop-thermodynamic-identity", _thermodynamic_identity, "<= 1e-6", ""),
+]
+
+
+def run_acceptance_checks(constants: Constants = CODATA2018) -> list[CheckResult]:
+    """Run every row of CHECKS, in order. Takes about 20 ms in-process, plus
+    about 0.8 s for the first import of scipy, which the te0 rows load."""
+    results = []
+    for check_id, measure, band, detail in CHECKS:
+        x = measure(constants)
+        results.append(CheckResult(check_id, passes(band, x), x, band, detail))
+    return results

@@ -4,14 +4,12 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-check lines.
 """
 
 import dataclasses
+import math
 
 import pytest
 
 from casimir_delta.quantities import CODATA2018
-from casimir_delta.validation import (
-    check_thermal_correction_percentages,
-    run_acceptance_checks,
-)
+from casimir_delta.validation import CHECKS, passes, run_acceptance_checks
 
 
 @pytest.fixture(scope="session")
@@ -20,7 +18,7 @@ def report():
 
 
 def _assert_checks(report, prefix):
-    checks = [c for c in report.checks if c.check_id.startswith(prefix)]
+    checks = [c for c in report if c.check_id.startswith(prefix)]
     assert checks, f"no checks matched prefix {prefix!r}"
     for c in checks:
         print(c.line())
@@ -78,5 +76,44 @@ def test_sensitivity_perturbed_constants_fail_percentage_checks():
         c=CODATA2018.c * 0.99,
         k_B=CODATA2018.k_B * 1.01,
     )
-    checks = check_thermal_correction_percentages(perturbed)
-    assert any(not c.passed for c in checks)
+    failed = [c.check_id for c in run_acceptance_checks(perturbed) if not c.passed]
+    assert any(check_id.startswith("pp-thermal") for check_id in failed)
+
+
+def test_check_ids_unique():
+    ids = [row[0] for row in CHECKS]
+    assert len(set(ids)) == len(ids)
+
+
+@pytest.mark.parametrize("band,x,expected", [
+    ("<= 0.03", 0.03, True),
+    ("<= 0.03", math.nextafter(0.03, 1.0), False),
+    ("< 0", 0.0, False),
+    ("< 0", -1e-300, True),
+    ("> 6", 6.0, False),
+    ("> 6", math.nextafter(6.0, 7.0), True),
+    ("(9, 10)", 9.0, False),
+    ("(9, 10)", 9.5, True),
+    ("(9, 10)", 10.0, False),
+    ("[0.17, 0.19]", 0.17, True),
+    ("[0.17, 0.19]", 0.19, True),
+    ("[0.17, 0.19]", math.nextafter(0.19, 1.0), False),
+    ("[0.5e-13, 2e-13] N", 0.5e-13, True),
+    ("[0.5e-13, 2e-13] N", 2.1e-13, False),
+    ("0.0016 +-10%", 0.0016 * 1.0999, True),
+    ("0.0016 +-10%", 0.0016 * 0.9001, True),
+    ("0.0016 +-10%", 0.0016 * 1.1001, False),
+    ("0.0016 +-10%", 0.0016 * 0.8999, False),
+    ("0 exactly", 0.0, True),
+    ("0 exactly", 5e-324, False),
+    ("strictly decreasing", 1.0, True),
+    ("strictly decreasing", 0.0, False),
+    ("single value across separations", 2.0, False),
+])
+def test_band_edges(band, x, expected):
+    assert passes(band, x) is expected
+
+
+def test_unreadable_band_rejected():
+    with pytest.raises(ValueError, match="unreadable band"):
+        passes("about 3", 3.0)

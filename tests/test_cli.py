@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from casimir_delta import scenarios
+from casimir_delta import scenarios, validation
 from casimir_delta.cli import build_parser, main
 
 
@@ -196,12 +196,15 @@ class TestConfigFile:
         assert rc == 0
         assert "# points = 3" in out
 
-    def test_unknown_key_rejected(self, capsys, tmp_path):
+    @pytest.mark.parametrize("command,text,key", [
+        ("fig1", "no-such-option = 1\n", "no-such-option"),
+        ("fig3", "points = 7\nconfig = /nonexistent\n", "config"),  # a config file cannot name another
+    ], ids=["unknown-option", "config-key"])
+    def test_unknown_key_rejected(self, capsys, tmp_path, command, text, key):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("no-such-option = 1\n")
-        rc, _, err = run(capsys, "fig1", "--config", str(cfg))
-        assert rc == 1
-        assert "unknown config key" in err
+        cfg.write_text(text)
+        rc, out, err = run(capsys, command, "--config", str(cfg))
+        assert (rc, out, err) == (1, "", f"error: unknown config key {key!r}\n")
 
     def test_tolerance_reaches_engine_as_a_number(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -256,6 +259,17 @@ class TestOutputFile:
         header, rows = data_rows(path.read_text())
         assert len(rows) == 4
 
+    @pytest.mark.parametrize("argv,target", [
+        (("fig1", "--points", "4"), "absent/x.csv"),
+        (("validate",), ""),
+    ], ids=["missing-directory", "directory"])
+    def test_unwritable_path_is_usage_error(self, capsys, tmp_path, argv, target):
+        path = tmp_path / target
+        rc, out, err = run(capsys, *argv, "--output", str(path))
+        assert (rc, out) == (1, "")
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert err.count("\n") == 1
+
 
 class TestValidate:
     def test_report_and_exit_code(self, capsys):
@@ -271,6 +285,21 @@ class TestValidate:
         rc, out, _ = run(capsys, "validate")
         assert "fig1-ratio>9" in out
         assert "PASS" in out
+
+    def test_failing_check_exits_3(self, capsys, monkeypatch):
+        rows = [(check_id, (lambda c: 9.0) if check_id == "fig1-ratio>9" else measure, band, detail)
+                for check_id, measure, band, detail in validation.CHECKS]
+        monkeypatch.setattr(validation, "CHECKS", rows)
+        rc, out, _ = run(capsys, "validate")
+        assert rc == 3
+        assert "FAIL fig1-ratio>9: measured 9, expected (9, 10)\n" in out
+        assert out.count("FAIL") == 1
+        assert out.endswith("34/35 checks passed\n")
+        rc, out, _ = run(capsys, "validate", "--format", "json")
+        payload = json.loads(out)
+        assert rc == 3
+        assert payload["all_passed"] is False
+        assert [c["id"] for c in payload["checks"] if not c["passed"]] == ["fig1-ratio>9"]
 
 
 class TestIgnoredFlagsRejected:
