@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
+import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -56,12 +58,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.8e}"  # 9 significant digits
+# every float the CLI prints is rounded to 9 significant digits by this format
+_DIGITS9 = "%.8e"
 
 
 def _round9(x: float) -> float:
-    return float(_fmt(x))
+    return float(_DIGITS9 % x)
 
 
 def _config_flags(args: argparse.Namespace) -> list[str]:
@@ -184,24 +186,31 @@ def _resolved_config(args: argparse.Namespace, keys: Sequence[str]) -> dict:
     return cfg
 
 
-def _emit_table(table: SweepTable, cfg: dict, args: argparse.Namespace,
+def _emit_table(table: SweepTable, cfg: dict, fmt: str,
                 first_col_scale: float, first_col_name: str) -> str:
-    """Render a sweep table; the first column is rescaled to CLI units."""
+    """Render a sweep table (at least one row, every cell finite, as the
+    sweeps guarantee); the first column is rescaled to CLI units.
+
+    One format string per table prints every cell at 9 significant digits:
+    that is the CSV body. The JSON text is the bytes of
+    json.dumps({"config": cfg, "rows": [{column: _round9(cell), ...}, ...]},
+    indent=2) + "\\n", built without json's indenting encoder, which runs in
+    Python for every cell: the rows are one % over a row template, and each
+    cell is the repr (what json writes for a finite float) of the float its
+    9 digits parse back to."""
     columns = (first_col_name,) + table.columns[1:]
-    rows = [(r[0] * first_col_scale,) + r[1:] for r in table.rows]
-    if args.format == "json":
-        payload = {
-            "config": cfg,
-            "rows": [
-                {c: _round9(v) for c, v in zip(columns, row)} for row in rows
-            ],
-        }
-        return json.dumps(payload, indent=2) + "\n"
-    lines = [f"# {k} = {v}" for k, v in cfg.items()]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    ncols, nrows = len(columns), len(table.rows)
+    cells = list(itertools.chain.from_iterable(table.rows))
+    cells[::ncols] = [x * first_col_scale for x in cells[::ncols]]
+    body = "\n".join([",".join([_DIGITS9] * ncols)] * nrows) % tuple(cells)
+    if fmt == "csv":
+        lines = [f"# {k} = {v}" for k, v in cfg.items()]
+        return "\n".join(lines + [",".join(columns), body]) + "\n"
+    config = json.dumps({"config": cfg}, indent=2)[:-2]  # open: without the closing "\n}"
+    keys = (json.dumps(c).replace("%", "%%") for c in columns)  # literal in the template
+    row = "    {\n" + ",\n".join(f"      {k}: %r" for k in keys) + "\n    }"
+    rows = ",\n".join([row] * nrows) % tuple(map(float, body.replace("\n", ",").split(",")))
+    return config + ',\n  "rows": [\n' + rows + "\n  ]\n}\n"
 
 
 def _write(text: str, output: Optional[str]) -> None:
@@ -216,6 +225,8 @@ def _write(text: str, output: Optional[str]) -> None:
 
 
 def _lambda_p(args: argparse.Namespace) -> float:
+    if not math.isfinite(args.lambda_p_nm):  # printed in the config, even where ideal ignores it
+        raise UsageError(f"--lambda-p-nm must be finite, got {args.lambda_p_nm}")
     if args.approach == "ideal":
         return 0.0
     lam = args.lambda_p_nm * 1e-9
@@ -238,7 +249,7 @@ def cmd_separation_sweep(args: argparse.Namespace) -> int:
     table = sweep_separation(pair, _lambda_p(args), geometry, _approach(args), grid)
     cfg = _resolved_config(args, ["approach", "lambda_p_nm", "t1_k", "t2_k",
                                   "a_min_um", "a_max_um", "points", "format"])
-    _write(_emit_table(table, cfg, args, 1e6, "a_um"), args.output)
+    _write(_emit_table(table, cfg, args.format, 1e6, "a_um"), args.output)
     return 0
 
 
@@ -248,7 +259,7 @@ def cmd_fig3(args: argparse.Namespace) -> int:
                               args.radius_mm * 1e-3, grid)
     cfg = _resolved_config(args, ["approach", "lambda_p_nm", "t1_k", "t2_k",
                                   "a_um", "points", "format"])
-    _write(_emit_table(table, cfg, args, 1.0, "T2_K"), args.output)
+    _write(_emit_table(table, cfg, args.format, 1.0, "T2_K"), args.output)
     return 0
 
 

@@ -77,8 +77,14 @@ class DerivedScales:
 
 def gap_scales(a, delta, constants: Constants = CODATA2018):
     """(T_eff, delta/a) with T_eff = hbar*c/(2*a*k_B), elementwise for an array
-    of separations a (m). Unchecked: the callers check a and delta first."""
-    return constants.hbar * constants.c / (2.0 * a * constants.k_B), delta / a
+    of separations a (m). Unchecked: the callers check a and delta first.
+    A float a so small that 2*a*k_B underflows to 0 is a ValueError; in an
+    array it gives an infinite T_eff."""
+    try:
+        T_eff = constants.hbar * constants.c / (2.0 * a * constants.k_B)
+    except ZeroDivisionError:
+        raise ValueError(f"separation {a!r} m is too small: 2 a k_B underflows to 0") from None
+    return T_eff, delta / a
 
 
 def effective_temperature(a: float, constants: Constants = CODATA2018) -> float:

@@ -205,6 +205,19 @@ class SweepTable:
     rows: tuple[tuple[float, ...], ...]
 
 
+def _finite_table(columns: tuple[str, ...], grid: np.ndarray, name: str, unit: str,
+                  *values: np.ndarray) -> SweepTable:
+    """The SweepTable of a grid and its value columns, which the caller
+    evaluated with numpy's floating-point warnings off. A value that is not
+    finite (an input so far out of range that the closed form overflows or
+    divides by zero) is a ValueError naming the first grid point with one."""
+    finite = np.isfinite(values).all(axis=0)
+    if not finite.all():
+        bad = grid[finite.argmin()].item()
+        raise ValueError(f"{name} {bad!r} {unit} gives a non-finite difference force")
+    return SweepTable(columns=columns, rows=tuple(zip(grid.tolist(), *(v.tolist() for v in values))))
+
+
 def _sphere_per_radius(a, T1, T2, R, delta, approach, constants: Constants):
     """The sphere-plate delta_F / R column over an array of a or of T2."""
     T_eff, d = gap_scales(a, delta, constants)
@@ -225,25 +238,27 @@ def sweep_separation(
 
     The inputs are checked once (the grid is monotone, so at its ends) and
     each column is one elementwise pass of the closed form over the grid;
-    every cell equals the scalar delta_force_* value (over R) bit for bit."""
+    every cell equals the scalar delta_force_* value (over R) bit for bit.
+    Inputs for which a cell is not finite are a ValueError."""
     a = grid.values()
     for end in (a[0], a[-1]):
         positive("separation", end)
     delta = skin_depth_parameter(lambda_p)
     T1, T2 = pair.T1, pair.T2
-    if isinstance(geometry, ParallelPlates):
-        columns = ("a_m", "dF_real_N_per_m2", "dF_ideal_N_per_m2")
-        real, ideal = (
-            _plates_difference(T1, T2, *gap_scales(a, depth, constants), constants)[0]
-            for depth in (delta, 0.0)
-        )
-    else:
-        columns = ("a_m", "dFps_over_R_real_N_per_m", "dFps_over_R_ideal_N_per_m")
-        real, ideal = (
-            _sphere_per_radius(a, T1, T2, geometry.R, depth, approach, constants)
-            for depth in (delta, 0.0)
-        )
-    return SweepTable(columns=columns, rows=tuple(zip(a.tolist(), real.tolist(), ideal.tolist())))
+    with np.errstate(all="ignore"):
+        if isinstance(geometry, ParallelPlates):
+            columns = ("a_m", "dF_real_N_per_m2", "dF_ideal_N_per_m2")
+            real, ideal = (
+                _plates_difference(T1, T2, *gap_scales(a, depth, constants), constants)[0]
+                for depth in (delta, 0.0)
+            )
+        else:
+            columns = ("a_m", "dFps_over_R_real_N_per_m", "dFps_over_R_ideal_N_per_m")
+            real, ideal = (
+                _sphere_per_radius(a, T1, T2, geometry.R, depth, approach, constants)
+                for depth in (delta, 0.0)
+            )
+    return _finite_table(columns, a, "separation", "m", real, ideal)
 
 
 def sweep_temperature(
@@ -257,8 +272,9 @@ def sweep_temperature(
     """Sphere-plate difference force per unit radius versus the upper
     temperature, under both prescriptions, with the ideal-metal reference.
 
-    As in sweep_separation, the inputs are checked once and each column is
-    one elementwise pass over the T2 grid, equal to the scalar values."""
+    As in sweep_separation, the inputs are checked once, each column is
+    one elementwise pass over the T2 grid, equal to the scalar values, and
+    inputs for which a cell is not finite are a ValueError."""
     T1 = positive("temperature", T1)
     T2 = grid.values()
     for end in (T2[0], T2[-1]):
@@ -266,19 +282,19 @@ def sweep_temperature(
     a = positive("separation", a)
     SpherePlate(R)  # checks R
     delta = skin_depth_parameter(lambda_p)
-    plasma, mod_te, ideal = (
-        _sphere_per_radius(a, T1, T2, R, depth, approach, constants)
-        for depth, approach in (
-            (delta, ApproachVariant.PLASMA_ZERO_FREQUENCY),
-            (delta, ApproachVariant.MODIFIED_TE),
-            (0.0, ApproachVariant.PLASMA_ZERO_FREQUENCY),
+    with np.errstate(all="ignore"):
+        plasma, mod_te, ideal = (
+            _sphere_per_radius(a, T1, T2, R, depth, approach, constants)
+            for depth, approach in (
+                (delta, ApproachVariant.PLASMA_ZERO_FREQUENCY),
+                (delta, ApproachVariant.MODIFIED_TE),
+                (0.0, ApproachVariant.PLASMA_ZERO_FREQUENCY),
+            )
         )
-    )
     columns = (
         "T2_K",
         "dFps_over_R_plasma_N_per_m",
         "dFps_over_R_modified_te_N_per_m",
         "dFps_over_R_ideal_N_per_m",
     )
-    rows = zip(T2.tolist(), plasma.tolist(), mod_te.tolist(), ideal.tolist())
-    return SweepTable(columns=columns, rows=tuple(rows))
+    return _finite_table(columns, T2, "temperature T2", "K", plasma, mod_te, ideal)

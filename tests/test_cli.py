@@ -8,9 +8,11 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from casimir_delta import scenarios, validation
+from casimir_delta import cli, scenarios, validation
 from casimir_delta.cli import build_parser, main
+from casimir_delta.scenarios import SweepTable
 
 
 def run(capsys, *argv):
@@ -337,6 +339,22 @@ class TestNonFiniteGrid:
         (("fig2", "--a-min-um", "nan"), "grid start must be finite, got nan"),
         (("fig3", "--t2-k", "inf"), "grid stop must be finite, got inf"),
         (("fig3", "--t1-k=-inf"), "grid start must be finite, got -inf"),
+        (("fig1", "--approach", "ideal", "--lambda-p-nm", "nan", "--format", "json"),
+         "--lambda-p-nm must be finite, got nan"),
+        # finite inputs whose closed form overflows or divides by zero
+        *((("fig1", "--a-min-um", "1e-300", "--a-max-um", "1e-299", "--points", "2", "--format", fmt),
+           "separation 1e-306 m gives a non-finite difference force") for fmt in ("csv", "json")),
+        *((("fig3", "--t1-k", "1e-300", "--t2-k", "1e-299", "--points", "2", "--format", fmt),
+           "temperature T2 1e-300 K gives a non-finite difference force") for fmt in ("csv", "json")),
+        (("fig3", "--t2-k", "1e300", "--points", "2"),
+         "temperature T2 1e+300 K gives a non-finite difference force"),
+        # 2 a k_B underflows to 0
+        (("compute", "--a-um", "1e-300", "--geometry", "plates"),
+         "separation 1e-306 m is too small: 2 a k_B underflows to 0"),
+        (("compute", "--a-um", "1e-300", "--geometry", "sphere"),
+         "separation 1e-306 m is too small: 2 a k_B underflows to 0"),
+        (("fig3", "--a-um", "1e-300", "--format", "json"),
+         "separation 1e-306 m is too small: 2 a k_B underflows to 0"),
     ])
     def test_one_error_line(self, capsys, argv, message):
         # a numpy RuntimeWarning from building the grid would raise here
@@ -355,29 +373,93 @@ PER_POINT_NAMES = ("derived_scales", "classify_validity", "delta_force_plates",
                    "delta_force_sphere", "gap_scales", "positive", "skin_depth_parameter")
 
 
+def _counting(counts, name, fn):
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def _figure_call_counts(counts, tmp_path, points, *flags):
+    counts.clear()
+    for argv in (["fig1"], ["fig2", "--approach", "modified-te"], ["fig3"]):
+        argv += [*flags, "--points", str(points), "--output", str(tmp_path / "out")]
+        assert main(argv) == 0
+    return dict(counts)
+
+
 def test_figure_work_does_not_grow_with_points(monkeypatch, tmp_path):
     # a call count, not a time: the sweeps check their inputs once and
     # evaluate each column over the whole grid
     counts = collections.Counter()
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
     for name in PER_POINT_NAMES:
-        monkeypatch.setattr(scenarios, name, counting(name, getattr(scenarios, name)))
+        monkeypatch.setattr(scenarios, name, _counting(counts, name, getattr(scenarios, name)))
+    few = _figure_call_counts(counts, tmp_path, 10)
+    assert few and few == _figure_call_counts(counts, tmp_path, 500)
 
-    def calls(points):
-        counts.clear()
-        for argv in (["fig1"], ["fig2", "--approach", "modified-te"], ["fig3"]):
-            argv += ["--points", str(points), "--output", str(tmp_path / "out")]
-            assert main(argv) == 0
-        return dict(counts)
 
-    few = calls(10)
-    assert few and few == calls(500)
+def test_json_figure_encoding_does_not_grow_with_points(monkeypatch, tmp_path):
+    # a call count, not a time: the JSON tables call json only for their
+    # config and column names, never per row or per cell
+    counts = collections.Counter()
+    monkeypatch.setattr(cli.json, "dumps", _counting(counts, "dumps", json.dumps))
+    monkeypatch.setattr(json.JSONEncoder, "iterencode",
+                        _counting(counts, "iterencode", json.JSONEncoder.iterencode))
+    # the string encoder json's Python encoder calls for every key it writes
+    monkeypatch.setattr(json.encoder, "encode_basestring_ascii",
+                        _counting(counts, "strings", json.encoder.encode_basestring_ascii))
+    few = _figure_call_counts(counts, tmp_path, 10, "--format", "json")
+    assert few.keys() == {"dumps", "iterencode", "strings"}
+    assert few == _figure_call_counts(counts, tmp_path, 500, "--format", "json")
+
+
+def _table_text_reference(table, cfg, fmt, first_col_scale, first_col_name):
+    """The figure tables as json.dumps(indent=2) and a per-cell f-string write them."""
+    columns = (first_col_name,) + table.columns[1:]
+    rows = [(r[0] * first_col_scale,) + r[1:] for r in table.rows]
+    if fmt == "json":
+        payload = {"config": cfg,
+                   "rows": [{c: float(f"{v:.8e}") for c, v in zip(columns, row)} for row in rows]}
+        return json.dumps(payload, indent=2) + "\n"
+    lines = [f"# {k} = {v}" for k, v in cfg.items()]
+    lines.append(",".join(columns))
+    lines += [",".join(f"{v:.8e}" for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def figure_tables(draw):
+    """(table, cfg, first column scale, first column name): 1-5 columns of
+    distinct names, 1-60 rows of finite cells, finite after the scale too."""
+    names = draw(st.lists(st.text(max_size=6), min_size=1, max_size=5, unique=True))
+    scale = draw(st.sampled_from([1.0, 1e6]))
+    first = st.floats(-1e300, 1e300) if scale > 1.0 else FINITE
+    rows = draw(st.lists(st.tuples(first, *[FINITE] * (len(names) - 1)), min_size=1, max_size=60))
+    cfg = draw(st.dictionaries(st.text(max_size=6), st.one_of(
+        st.none(), st.booleans(), st.integers(), FINITE, st.text(max_size=6)), max_size=4))
+    return SweepTable(("grid",) + tuple(names[1:]), tuple(rows)), cfg, scale, names[0]
+
+
+# each cell at an edge of the 9-digit rounding or of repr's notation:
+# 9.999999995e-05 rounds to 0.0001 and 9.9999999951e15 to 1e+16, 9.9999999949e15
+# stays 9999999990000000.0; then the largest, smallest and smallest normal floats
+EDGE_CELLS = (1.7976931348623157e308, 9.999999995e-05, 1e16, 123456789.0, -0.0, 0.0, 5e-324,
+              -2.2250738585072014e-308, 1e-05, 0.0001, 9.9999999949e15, 9.9999999951e15, 0.15e-6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(figure_tables())
+@example((SweepTable(("a_m", "x", "y"), tuple(zip(EDGE_CELLS[1:], EDGE_CELLS, EDGE_CELLS[::-1]))),
+          {"command": "fig1", "points": 12, "a_min_um": 0.15, "format": "json"}, 1e6, "a_um"))
+@example((SweepTable(("T2_K", "v"), tuple((c, -c) for c in EDGE_CELLS)), {}, 1.0, "T2_K"))
+def test_table_text_equals_the_reference(case):
+    table, cfg, scale, name = case
+    for fmt in ("json", "csv"):
+        got = cli._emit_table(table, cfg, fmt, scale, name)
+        assert got == _table_text_reference(table, cfg, fmt, scale, name)
 
 
 def test_parser_reuse_leaks_no_state_between_calls(capsys, tmp_path):
