@@ -6,11 +6,8 @@ Lifshitz oracle."""
 from .quantities import (
     CODATA2018,
     Constants,
-    DerivedScales,
-    ValidityReport,
     classify_validity,
     derived_scales,
-    effective_temperature,
     positive,
     skin_depth_parameter,
 )
@@ -19,7 +16,6 @@ from .dielectric import (
     IdealMetal,
     MetalModel,
     Plasma,
-    permittivity_imaginary,
     reflection_coefficients,
 )
 from .lifshitz import (
@@ -28,21 +24,18 @@ from .lifshitz import (
     QuadratureError,
     QuadratureSpec,
     SpherePlate,
-    matsubara_frequency,
     plate_free_energy_per_area,
     plate_pressure,
     sphere_plate_force_pfa,
     te_zero_frequency_sphere_term,
 )
 from .perturbative import (
-    ForceResult,
     PerturbativeTerms,
     plate_force_perturbative,
     sphere_force_perturbative,
     te_zero_frequency_asymptotic,
 )
 from .scenarios import (
-    DifferenceResult,
     SweepSpec,
     SweepTable,
     TemperaturePair,

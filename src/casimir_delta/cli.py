@@ -30,11 +30,12 @@ from .lifshitz import (
     sphere_plate_force_pfa,
 )
 from .perturbative import (
+    OMITTED_REMAINDER_NOTE,
     plate_force_perturbative,
     sphere_force_perturbative,
     te_zero_frequency_asymptotic,  # noqa: F401  (perfbench's tracer wraps cli's copy)
 )
-from .quantities import CODATA2018
+from .quantities import classify_validity, positive
 from .scenarios import (
     SweepSpec,
     SweepTable,
@@ -97,12 +98,21 @@ def _config_flags(args: argparse.Namespace) -> list[str]:
     return flags
 
 
+def _radius_mm(text: str) -> float:
+    """--radius-mm's type: checked on every command that takes the flag,
+    including fig1 and plate computations, which do not use it."""
+    try:
+        return positive("sphere radius", float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_common(p: argparse.ArgumentParser, approaches: Sequence[str]) -> None:
     p.add_argument("--approach", choices=approaches, default="plasma")
     p.add_argument("--lambda-p-nm", type=float, default=136.0, help="plasma wavelength, nm")
     p.add_argument("--t1-k", type=float, default=300.0)
     p.add_argument("--t2-k", type=float, default=350.0)
-    p.add_argument("--radius-mm", type=float, default=2.0)
+    p.add_argument("--radius-mm", type=_radius_mm, default=2.0)
     p.add_argument("--config", type=str, default=None,
                    help="file of key = value lines, read as --key=value flags before the explicit ones")
     p.add_argument("--output", type=str, default=None, help="output path (default stdout)")
@@ -272,35 +282,24 @@ def cmd_compute(args: argparse.Namespace) -> int:
     if args.geometry == "plates" and approach is ApproachVariant.MODIFIED_TE:
         raise UsageError("the modified-te prescription is defined for the sphere geometry only")
 
-    def force(T: float):
-        if args.geometry == "plates":
-            return plate_force_perturbative(a, T, lam)
-        return sphere_force_perturbative(a, T, R, lam, approach)
-
-    f1, f2 = force(pair.T1), force(pair.T2)
     if args.geometry == "plates":
+        f1, f2 = (plate_force_perturbative(a, T, lam) for T in (pair.T1, pair.T2))
         diff = delta_force_plates(a, pair, lam)
     else:
+        f1, f2 = (sphere_force_perturbative(a, T, R, lam, approach) for T in (pair.T1, pair.T2))
         diff = delta_force_sphere(a, pair, R, lam, approach)
 
     record = {
         "config": _resolved_config(
             args, ["geometry", "approach", "lambda_p_nm", "t1_k", "t2_k",
                    "a_um", "radius_mm", "oracle"]),
-        "force_T1": _round9(f1.value),
-        "force_T2": _round9(f2.value),
-        "delta_F": _round9(diff.delta_F),
+        "force_T1": _round9(f1.total),
+        "force_T2": _round9(f2.total),
+        "delta_F": _round9(diff),
         "units": "N_per_m2" if args.geometry == "plates" else "N",
-        "terms_T2": {
-            "base": _round9(f2.terms.base),
-            "thermal_ideal": _round9(f2.terms.thermal_ideal),
-            "conductivity_first_order": _round9(f2.terms.conductivity_first_order),
-            "conductivity_higher_order": _round9(f2.terms.conductivity_higher_order),
-            "cross_term": _round9(f2.terms.cross_term),
-            "zero_frequency_te": _round9(f2.terms.zero_frequency_te),
-        },
-        "notes": list(f2.notes),
-        "validity_warnings": list(diff.validity.warnings),
+        "terms_T2": {k: _round9(v) for k, v in f2._asdict().items() if k != "total"},
+        "notes": [OMITTED_REMAINDER_NOTE] if lam > 0.0 else [],
+        "validity_warnings": list(classify_validity(a, pair.T1, pair.T2, lam)),
     }
 
     if args.oracle:
@@ -318,9 +317,9 @@ def cmd_compute(args: argparse.Namespace) -> int:
             "force_T1": _round9(o1),
             "force_T2": _round9(o2),
             "delta_F": _round9(o2 - o1),
-            "rel_deviation_T1": _round9(abs(f1.value - o1) / abs(o1)),
-            "rel_deviation_T2": _round9(abs(f2.value - o2) / abs(o2)),
-            "rel_deviation_delta_F": _round9(abs(diff.delta_F - (o2 - o1)) / abs(o2 - o1)),
+            "rel_deviation_T1": _round9(abs(f1.total - o1) / abs(o1)),
+            "rel_deviation_T2": _round9(abs(f2.total - o2) / abs(o2)),
+            "rel_deviation_delta_F": _round9(abs(diff - (o2 - o1)) / abs(o2 - o1)),
         }
 
     _write(json.dumps(record, indent=2) + "\n", args.output)

@@ -1,5 +1,6 @@
-"""Dielectric permittivity on the imaginary frequency axis and the two
-polarization reflection coefficients feeding the Lifshitz engine."""
+"""Metal models, the zero-frequency prescriptions and the two polarization
+reflection coefficients on the imaginary frequency axis that feed the
+Lifshitz engine."""
 
 from __future__ import annotations
 
@@ -46,25 +47,6 @@ class ApproachVariant(enum.Enum):
 
     PLASMA_ZERO_FREQUENCY = "plasma"
     MODIFIED_TE = "modified-te"
-
-
-def permittivity_imaginary(model: MetalModel, xi: float, constants: Constants = CODATA2018) -> float:
-    """Permittivity at imaginary frequency omega = i*xi.
-
-    Plasma: eps(i*xi) = 1 + (omega_p/xi)^2, real and > 1. IdealMetal returns
-    +inf, interpreted by callers as perfect reflectivity. xi = 0 for the
-    plasma variant is a domain error: the engine handles that limit
-    analytically via reflection_coefficients.
-    """
-    if isinstance(model, IdealMetal):
-        return math.inf
-    if xi <= 0.0:
-        raise ValueError(
-            "plasma permittivity needs xi > 0; the xi = 0 term has an analytic "
-            "reflection-coefficient limit and never goes through this path"
-        )
-    wp = model.plasma_frequency(constants)
-    return 1.0 + (wp / xi) ** 2
 
 
 def fresnel_coefficients(

@@ -101,16 +101,10 @@ class SpherePlate:
     R: float  # m
 
     def __post_init__(self) -> None:
-        if not (self.R > 0.0) or math.isinf(self.R):
-            raise ValueError(f"sphere radius must be positive and finite, got {self.R}")
+        object.__setattr__(self, "R", positive("sphere radius", self.R))
 
 
 Geometry = Union[ParallelPlates, SpherePlate]
-
-
-def matsubara_frequency(n: int, T: float, constants: Constants = CODATA2018) -> float:
-    """xi_n = 2*pi*k_B*T*n/hbar, rad/s."""
-    return 2.0 * math.pi * constants.k_B * T * n / constants.hbar
 
 
 # Exp-sinh rule (Takahasi & Mori, Publ. RIMS Kyoto Univ. 9, 721 (1974)) for

@@ -2,14 +2,18 @@
 
 Every quantity is a plain float in SI units (kelvin for temperatures),
 checked by `positive` in each public function that takes it; unit conversion
-happens only at the CLI boundary. The one exception is `gap_scales`, which
-takes arrays unchecked, for the sweeps that check a whole grid once.
+happens only at the CLI boundary. The scalar closed forms check their inputs
+in one preamble, `derived_scales`, and their results in one check, `finite`,
+which the sweeps share; `gap_scales` takes arrays unchecked, for the sweeps
+that check a whole grid once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -45,36 +49,6 @@ def positive(name: str, value: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class ValidityReport:
-    """Per-parameter range flags. Reporting only: nothing here rejects inputs."""
-
-    separation_above_plasma_wavelength: bool
-    separation_below_max: bool
-    t1_below_max: bool
-    t2_below_max: bool
-    warnings: tuple[str, ...] = field(default_factory=tuple)
-
-    @property
-    def all_in_range(self) -> bool:
-        return (
-            self.separation_above_plasma_wavelength
-            and self.separation_below_max
-            and self.t1_below_max
-            and self.t2_below_max
-        )
-
-
-@dataclass(frozen=True)
-class DerivedScales:
-    """Scales derived from a separation, a temperature and a plasma wavelength."""
-
-    T_eff: float          # K, hbar*c/(2*a*k_B)
-    delta: float          # m, lambda_p/(2*pi)
-    delta_over_a: float
-    T_over_Teff: float
-
-
 def gap_scales(a, delta, constants: Constants = CODATA2018):
     """(T_eff, delta/a) with T_eff = hbar*c/(2*a*k_B), elementwise for an array
     of separations a (m). Unchecked: the callers check a and delta first.
@@ -85,12 +59,6 @@ def gap_scales(a, delta, constants: Constants = CODATA2018):
     except ZeroDivisionError:
         raise ValueError(f"separation {a!r} m is too small: 2 a k_B underflows to 0") from None
     return T_eff, delta / a
-
-
-def effective_temperature(a: float, constants: Constants = CODATA2018) -> float:
-    """Temperature scale at which thermal photons match the gap's frequency scale, K."""
-    T_eff, _ = gap_scales(positive("separation", a), 0.0, constants)
-    return T_eff
 
 
 def _plasma_wavelength(lambda_p: float) -> float:
@@ -105,59 +73,62 @@ def skin_depth_parameter(lambda_p: float) -> float:
     return _plasma_wavelength(lambda_p) / (2.0 * math.pi)
 
 
-def derived_scales(
-    a: float,
-    T: float,
-    lambda_p: float,
-    constants: Constants = CODATA2018,
-) -> DerivedScales:
-    a_m = positive("separation", a)
-    T_k = positive("temperature", T)
-    delta = skin_depth_parameter(lambda_p)
-    T_eff, delta_over_a = gap_scales(a_m, delta, constants)
-    return DerivedScales(
-        T_eff=T_eff,
-        delta=delta,
-        delta_over_a=delta_over_a,
-        T_over_Teff=T_k / T_eff,
-    )
+def derived_scales(a: float, lambda_p: float, T: float | None = None, R: float | None = None,
+                   constants: Constants = CODATA2018):
+    """The one preamble of the scalar closed forms: a, lambda_p and, where
+    given, T and R checked once each (a TemperaturePair checks its own two),
+    then the gap scales taken once. Returns (a, T, R, T_eff, delta/a), with
+    a, T and R as Python floats."""
+    a = positive("separation", a)
+    T = T if T is None else positive("temperature", T)
+    R = R if R is None else positive("sphere radius", R)
+    return (a, T, R, *gap_scales(a, skin_depth_parameter(lambda_p), constants))
 
 
-def classify_validity(a: float, T1: float, T2: float, lambda_p: float) -> ValidityReport:
-    """Flag parameters outside the framework's window; never rejects.
+def finite(what: str, inputs: dict, evaluate, *args, grid=None):
+    """evaluate(*args), run with numpy's floating-point warnings off, once
+    every value it returns is found finite: the one check of the closed
+    forms' results, scalar and swept. A value that is not finite, or a
+    Python OverflowError or ZeroDivisionError on the way, is a ValueError
+    "<inputs> give a non-finite <what>" that names each of `inputs` (label
+    to value) with its value and unit. Columns over a grid pass
+    grid=(label, points): a cell that is not finite is then named by the
+    first grid point with one."""
+    try:
+        with np.errstate(all="ignore"):
+            values = evaluate(*args)
+        ok = np.isfinite(values)
+        if ok.all():
+            return values
+        if grid is not None:
+            label, points = grid
+            inputs = {label: points[ok.all(axis=0).argmin()]}
+    except (OverflowError, ZeroDivisionError):
+        pass
+    # temperatures are in K, every other input is a length in m
+    named = ", ".join(f"{label} {float(value)!r} {'K' if label.startswith('temperature') else 'm'}"
+                      for label, value in inputs.items())
+    raise ValueError(f"{named} give{'s' if len(inputs) == 1 else ''} a non-finite {what}")
+
+
+def classify_validity(a: float, T1: float, T2: float, lambda_p: float) -> tuple[str, ...]:
+    """Warnings for the parameters outside the framework's window; never
+    rejects an input for being outside it.
 
     The window is lambda_p <= a <= 2 um and T <= 350 K. Out-of-window inputs
-    still compute, carrying these flags as warnings on the results.
+    still compute; `compute` prints these warnings with its results.
     """
-    a_m = positive("separation", a)
-    t1 = positive("temperature", T1)
-    t2 = positive("temperature", T2)
+    a = positive("separation", a)
+    T1, T2 = positive("temperature", T1), positive("temperature", T2)
     lam = _plasma_wavelength(lambda_p)
-
-    above_lp = a_m >= lam
-    below_max = a_m <= SEPARATION_MAX
-    t1_ok = t1 <= TEMPERATURE_MAX
-    t2_ok = t2 <= TEMPERATURE_MAX
-
-    warnings: list[str] = []
-    if not above_lp:
+    warnings = []
+    if a < lam:
         warnings.append(
-            f"separation {a_m:.3e} m below plasma wavelength {lam:.3e} m; "
+            f"separation {a:.3e} m below plasma wavelength {lam:.3e} m; "
             "perturbative framework not reliable here"
         )
-    if not below_max:
-        warnings.append(
-            f"separation {a_m:.3e} m above {SEPARATION_MAX:.1e} m validity limit"
-        )
-    if not t1_ok:
-        warnings.append(f"T1 = {t1:.1f} K above {TEMPERATURE_MAX:.0f} K validity limit")
-    if not t2_ok:
-        warnings.append(f"T2 = {t2:.1f} K above {TEMPERATURE_MAX:.0f} K validity limit")
-
-    return ValidityReport(
-        separation_above_plasma_wavelength=above_lp,
-        separation_below_max=below_max,
-        t1_below_max=t1_ok,
-        t2_below_max=t2_ok,
-        warnings=tuple(warnings),
-    )
+    if a > SEPARATION_MAX:
+        warnings.append(f"separation {a:.3e} m above {SEPARATION_MAX:.1e} m validity limit")
+    warnings += [f"{name} = {T:.1f} K above {TEMPERATURE_MAX:.0f} K validity limit"
+                 for name, T in (("T1", T1), ("T2", T2)) if T > TEMPERATURE_MAX]
+    return tuple(warnings)

@@ -7,7 +7,8 @@ Each closed form's arithmetic is written once, in `_plates_difference` and
 alike. `delta_force_plates`/`delta_force_sphere` check one point and call
 them on floats; the sweeps check their inputs once and call them on the
 whole grid, once per column, so that a sweep cell and the scalar value are
-the same float."""
+the same float. Both go through `quantities.finite`, so an input for which
+the closed form is not finite is a ValueError."""
 
 from __future__ import annotations
 
@@ -17,17 +18,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dielectric import ApproachVariant
-from .lifshitz import Geometry, ParallelPlates, SpherePlate
+from .lifshitz import Geometry, ParallelPlates
+from .perturbative import asymptotic_te_term
 from .quantities import (
     CODATA2018,
     Constants,
-    ValidityReport,
-    classify_validity,
     derived_scales,
+    finite,
     gap_scales,
     positive,
     skin_depth_parameter,
 )
+from .quantities import classify_validity  # noqa: F401  (perfbench's tracer wraps scenarios' copy)
 
 
 @dataclass(frozen=True)
@@ -41,30 +43,9 @@ class TemperaturePair:
         object.__setattr__(self, "T1", positive("temperature", self.T1))
         object.__setattr__(self, "T2", positive("temperature", self.T2))
 
-    def swapped(self) -> "TemperaturePair":
-        return TemperaturePair(self.T2, self.T1)
-
-
-@dataclass(frozen=True)
-class DifferenceResult:
-    """Difference force, N (sphere-plate) or N/m^2 (plates).
-
-    delta_F = -factor1 * factor2 (times R for the sphere) plus, under the
-    modified-TE prescription, the zero-frequency TE term reported separately
-    in zero_frequency_te_term.
-    """
-
-    delta_F: float
-    factor1: float
-    factor2: float
-    approach: ApproachVariant
-    geometry: Geometry
-    validity: ValidityReport
-    zero_frequency_te_term: float = 0.0
-
 
 def _plates_difference(T1, T2, T_eff, d, constants: Constants):
-    """(delta_F, factor1, factor2) of the plate closed form, elementwise where
+    """delta_F of the plate closed form, -factor1 * factor2, elementwise where
     T_eff and d are arrays over separations. T1 and T2 stay floats: numpy's
     array ** is not Python's pow bit for bit."""
     z3 = constants.zeta3
@@ -76,13 +57,14 @@ def _plates_difference(T1, T2, T_eff, d, constants: Constants):
     factor2 = 1.0 + (90.0 * z3 / pi ** 3) * d * (
         T_eff / (T1 + T2)
     ) * (1.0 + T1 * T2 / (T1 * T1 + T2 * T2))
-    return -factor1 * factor2, factor1, factor2
+    return -factor1 * factor2
 
 
 def _sphere_difference(a, T1, T2, R, T_eff, d, approach: ApproachVariant, constants: Constants):
-    """(delta_F, factor1, factor2, zero-frequency TE term) of the sphere-plate
-    closed form, elementwise where a (with T_eff and d) or T2 is an array.
-    The TE term is added even when it is 0.0, which turns a -0.0 into 0.0."""
+    """delta_F of the sphere-plate closed form, -R * factor1 * factor2 plus
+    the zero-frequency TE term, elementwise where a (with T_eff and d) or T2
+    is an array. The TE term is added even when it is 0.0, which turns a
+    -0.0 into 0.0."""
     z3 = constants.zeta3
     pi = constants.pi
     factor1 = (
@@ -92,16 +74,10 @@ def _sphere_difference(a, T1, T2, R, T_eff, d, approach: ApproachVariant, consta
     factor2 = (1.0 + T1 * T2 / (T1 * T1 + T2 * T2)) * (1.0 + 2.0 * d) - (
         pi ** 3 / (45.0 * z3)
     ) * ((T1 + T2) / T_eff) * (1.0 + 4.0 * d)
-
     te_term = 0.0
     if approach is ApproachVariant.MODIFIED_TE:
-        # a * a rather than a ** 2: on a float ** is libm's pow, which is not
-        # always the correctly rounded square that numpy's array ** 2 gives
-        te_term = (
-            constants.k_B * z3 * R / (8.0 * (a * a))
-            * (T2 - T1) * (1.0 - 4.0 * d + 12.0 * d * d)
-        )
-    return -R * factor1 * factor2 + te_term, factor1, factor2, te_term
+        te_term = asymptotic_te_term(a, T2 - T1, R, d, constants)
+    return -R * factor1 * factor2 + te_term
 
 
 def delta_force_plates(
@@ -109,26 +85,18 @@ def delta_force_plates(
     pair: TemperaturePair,
     lambda_p: float,
     constants: Constants = CODATA2018,
-) -> DifferenceResult:
+) -> float:
     """Plate-plate difference force per unit area, N/m^2.
 
     The dimensionful prefactor pi^2 k_B^4 (T2^4 - T1^4)/(45 hbar^3 c^3) is
     separation independent; finite conductivity enters only through the
     dimensionless factor, which is 1 for an ideal metal.
     """
-    a_m = positive("separation", a)
-    scales = derived_scales(a_m, pair.T1, lambda_p, constants)
-    delta_F, factor1, factor2 = _plates_difference(
-        pair.T1, pair.T2, scales.T_eff, scales.delta_over_a, constants
-    )
-    return DifferenceResult(
-        delta_F=delta_F,
-        factor1=factor1,
-        factor2=factor2,
-        approach=ApproachVariant.PLASMA_ZERO_FREQUENCY,
-        geometry=ParallelPlates(),
-        validity=classify_validity(a_m, pair.T1, pair.T2, lambda_p),
-    )
+    a, _, _, T_eff, d = derived_scales(a, lambda_p, constants=constants)
+    inputs = {"separation": a, "temperature T1": pair.T1, "temperature T2": pair.T2,
+              "plasma wavelength": lambda_p}
+    return finite("difference force", inputs, _plates_difference, pair.T1, pair.T2, T_eff, d,
+                  constants)
 
 
 def delta_force_sphere(
@@ -138,28 +106,18 @@ def delta_force_sphere(
     lambda_p: float,
     approach: ApproachVariant = ApproachVariant.PLASMA_ZERO_FREQUENCY,
     constants: Constants = CODATA2018,
-) -> DifferenceResult:
+) -> float:
     """Sphere-plate difference force, N.
 
     Under MODIFIED_TE the sphere's zero-frequency TE contribution
     (k_B zeta3 R/(8 a^2)) (T2 - T1)(1 - 4d + 12 d^2) is added back, flipping
     the sign of the total for gold-like parameters.
     """
-    a_m = positive("separation", a)
-    geometry = SpherePlate(R)
-    scales = derived_scales(a_m, pair.T1, lambda_p, constants)
-    delta_F, factor1, factor2, te_term = _sphere_difference(
-        a_m, pair.T1, pair.T2, geometry.R, scales.T_eff, scales.delta_over_a, approach, constants
-    )
-    return DifferenceResult(
-        delta_F=delta_F,
-        factor1=factor1,
-        factor2=factor2,
-        approach=approach,
-        geometry=geometry,
-        zero_frequency_te_term=te_term,
-        validity=classify_validity(a_m, pair.T1, pair.T2, lambda_p),
-    )
+    a, _, R, T_eff, d = derived_scales(a, lambda_p, R=R, constants=constants)
+    inputs = {"separation": a, "temperature T1": pair.T1, "temperature T2": pair.T2,
+              "sphere radius": R, "plasma wavelength": lambda_p}
+    return finite("difference force", inputs, _sphere_difference, a, pair.T1, pair.T2, R, T_eff,
+                  d, approach, constants)
 
 
 @dataclass(frozen=True)
@@ -205,23 +163,10 @@ class SweepTable:
     rows: tuple[tuple[float, ...], ...]
 
 
-def _finite_table(columns: tuple[str, ...], grid: np.ndarray, name: str, unit: str,
-                  *values: np.ndarray) -> SweepTable:
-    """The SweepTable of a grid and its value columns, which the caller
-    evaluated with numpy's floating-point warnings off. A value that is not
-    finite (an input so far out of range that the closed form overflows or
-    divides by zero) is a ValueError naming the first grid point with one."""
-    finite = np.isfinite(values).all(axis=0)
-    if not finite.all():
-        bad = grid[finite.argmin()].item()
-        raise ValueError(f"{name} {bad!r} {unit} gives a non-finite difference force")
-    return SweepTable(columns=columns, rows=tuple(zip(grid.tolist(), *(v.tolist() for v in values))))
-
-
 def _sphere_per_radius(a, T1, T2, R, delta, approach, constants: Constants):
     """The sphere-plate delta_F / R column over an array of a or of T2."""
     T_eff, d = gap_scales(a, delta, constants)
-    return _sphere_difference(a, T1, T2, R, T_eff, d, approach, constants)[0] / R
+    return _sphere_difference(a, T1, T2, R, T_eff, d, approach, constants) / R
 
 
 def sweep_separation(
@@ -245,20 +190,19 @@ def sweep_separation(
         positive("separation", end)
     delta = skin_depth_parameter(lambda_p)
     T1, T2 = pair.T1, pair.T2
-    with np.errstate(all="ignore"):
-        if isinstance(geometry, ParallelPlates):
-            columns = ("a_m", "dF_real_N_per_m2", "dF_ideal_N_per_m2")
-            real, ideal = (
-                _plates_difference(T1, T2, *gap_scales(a, depth, constants), constants)[0]
-                for depth in (delta, 0.0)
-            )
-        else:
-            columns = ("a_m", "dFps_over_R_real_N_per_m", "dFps_over_R_ideal_N_per_m")
-            real, ideal = (
-                _sphere_per_radius(a, T1, T2, geometry.R, depth, approach, constants)
-                for depth in (delta, 0.0)
-            )
-    return _finite_table(columns, a, "separation", "m", real, ideal)
+    if isinstance(geometry, ParallelPlates):
+        columns = ("a_m", "dF_real_N_per_m2", "dF_ideal_N_per_m2")
+
+        def column(depth):
+            return _plates_difference(T1, T2, *gap_scales(a, depth, constants), constants)
+    else:
+        columns = ("a_m", "dFps_over_R_real_N_per_m", "dFps_over_R_ideal_N_per_m")
+
+        def column(depth):
+            return _sphere_per_radius(a, T1, T2, geometry.R, depth, approach, constants)
+    values = finite("difference force", {"temperature T1": T1, "temperature T2": T2},
+                    lambda: (column(delta), column(0.0)), grid=("separation", a))
+    return SweepTable(columns, tuple(zip(a.tolist(), *(v.tolist() for v in values))))
 
 
 def sweep_temperature(
@@ -280,21 +224,22 @@ def sweep_temperature(
     for end in (T2[0], T2[-1]):
         positive("temperature", end)
     a = positive("separation", a)
-    SpherePlate(R)  # checks R
+    R = positive("sphere radius", R)
     delta = skin_depth_parameter(lambda_p)
-    with np.errstate(all="ignore"):
-        plasma, mod_te, ideal = (
-            _sphere_per_radius(a, T1, T2, R, depth, approach, constants)
-            for depth, approach in (
-                (delta, ApproachVariant.PLASMA_ZERO_FREQUENCY),
-                (delta, ApproachVariant.MODIFIED_TE),
-                (0.0, ApproachVariant.PLASMA_ZERO_FREQUENCY),
-            )
-        )
+    cases = (
+        (delta, ApproachVariant.PLASMA_ZERO_FREQUENCY),
+        (delta, ApproachVariant.MODIFIED_TE),
+        (0.0, ApproachVariant.PLASMA_ZERO_FREQUENCY),
+    )
+    values = finite(
+        "difference force", {"separation": a, "temperature T1": T1},
+        lambda: tuple(_sphere_per_radius(a, T1, T2, R, depth, approach, constants)
+                      for depth, approach in cases),
+        grid=("temperature T2", T2))
     columns = (
         "T2_K",
         "dFps_over_R_plasma_N_per_m",
         "dFps_over_R_modified_te_N_per_m",
         "dFps_over_R_ideal_N_per_m",
     )
-    return _finite_table(columns, T2, "temperature T2", "K", plasma, mod_te, ideal)
+    return SweepTable(columns, tuple(zip(T2.tolist(), *(v.tolist() for v in values))))

@@ -87,11 +87,11 @@ def passes(band: str, x: float) -> bool:
 
 
 def _dF_plates(a, c: Constants, pair=PAIR, lambda_p=AU_LAMBDA_P) -> float:
-    return delta_force_plates(a, pair, lambda_p, c).delta_F
+    return delta_force_plates(a, pair, lambda_p, c)
 
 
 def _dF_sphere(a, c: Constants, pair=PAIR, R=1e-3, approach=PLASMA) -> float:
-    return delta_force_sphere(a, pair, R, AU_LAMBDA_P, approach, c).delta_F
+    return delta_force_sphere(a, pair, R, AU_LAMBDA_P, approach, c)
 
 
 # per geometry (R = 1 mm), the engine's force at (a, T) and the closed-form dF at a
@@ -101,11 +101,11 @@ _CLOSED_FORM = {"pp": _dF_plates, "ps": _dF_sphere}
 
 
 def _plate_thermal(a: float, c: Constants) -> float:
-    return plate_force_perturbative(a, 300.0, 0.0, c).terms.thermal_ideal
+    return plate_force_perturbative(a, 300.0, 0.0, c).thermal_ideal
 
 
 def _sphere_thermal(a: float, c: Constants) -> float:
-    return sphere_force_perturbative(a, 300.0, 1e-3, 0.0, constants=c).terms.thermal_ideal
+    return sphere_force_perturbative(a, 300.0, 1e-3, 0.0, constants=c).thermal_ideal
 
 
 def _small_over_large(dF, c: Constants) -> float:
@@ -129,7 +129,7 @@ def _plate_absolute(a: float, T: float, c: Constants) -> float:
     gap is the omitted fourth-order remainder plus the truncated thermal cross
     terms: ~0.1% at 0.5 um for gold, falling to ~0.006% at 1 um."""
     oracle = _ENGINE["pp"](a, T, c)
-    pert = plate_force_perturbative(a, T, AU_LAMBDA_P, c).value
+    pert = plate_force_perturbative(a, T, AU_LAMBDA_P, c).total
     return abs(pert - oracle) / abs(oracle)
 
 
@@ -148,10 +148,10 @@ def _te0(a: float, lambda_p: float, c: Constants) -> float:
 
 
 def _antisymmetry(c: Constants) -> float:
-    a = 0.5e-6
-    fwd, bwd = _dF_plates(a, c), _dF_plates(a, c, PAIR.swapped())
+    a, swapped = 0.5e-6, TemperaturePair(PAIR.T2, PAIR.T1)
+    fwd, bwd = _dF_plates(a, c), _dF_plates(a, c, swapped)
     fwd_s = _dF_sphere(a, c, approach=MODIFIED_TE)
-    bwd_s = _dF_sphere(a, c, PAIR.swapped(), approach=MODIFIED_TE)
+    bwd_s = _dF_sphere(a, c, swapped, approach=MODIFIED_TE)
     return max(abs(fwd + bwd) / abs(fwd), abs(fwd_s + bwd_s) / abs(fwd_s))
 
 

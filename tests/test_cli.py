@@ -1,4 +1,6 @@
 import collections
+import contextlib
+import io
 import json
 import math
 import os
@@ -12,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from casimir_delta import cli, scenarios, validation
 from casimir_delta.cli import build_parser, main
+from casimir_delta.perturbative import OMITTED_REMAINDER_NOTE
 from casimir_delta.scenarios import SweepTable
 
 
@@ -131,6 +134,15 @@ class TestCompute:
         rc, _, err = run(capsys, "compute", "--geometry", "plates", "--approach", "modified-te")
         assert rc == 1
         assert "sphere" in err
+
+    @pytest.mark.parametrize("geometry", ["plates", "sphere"])
+    def test_remainder_note_for_real_metal_only(self, capsys, geometry):
+        notes = {}
+        for approach in ("plasma", "ideal"):
+            rc, out, _ = run(capsys, "compute", "--geometry", geometry, "--approach", approach)
+            assert rc == 0
+            notes[approach] = json.loads(out)["notes"]
+        assert notes == {"plasma": [OMITTED_REMAINDER_NOTE], "ideal": []}
 
     def test_out_of_range_warns_but_computes(self, capsys):
         rc, out, _ = run(capsys, "compute", "--a-um", "3.0")
@@ -355,6 +367,26 @@ class TestNonFiniteGrid:
          "separation 1e-306 m is too small: 2 a k_B underflows to 0"),
         (("fig3", "--a-um", "1e-300", "--format", "json"),
          "separation 1e-306 m is too small: 2 a k_B underflows to 0"),
+        # finite inputs for which Python's float ** or / raises, in the scalar
+        # closed forms and before a sweep's columns exist
+        (("compute", "--a-um", "1e-150"),
+         "separation 9.999999999999999e-157 m, temperature 300.0 K, sphere radius 0.002 m, "
+         "plasma wavelength 1.36e-07 m give a non-finite sphere-plate force"),
+        (("compute", "--t1-k", "1e-200", "--t2-k", "1e-199"),
+         "separation 5e-07 m, temperature T1 1e-200 K, temperature T2 1e-199 K, "
+         "sphere radius 0.002 m, plasma wavelength 1.36e-07 m give a non-finite difference force"),
+        (("compute", "--t2-k", "1e100"),
+         "separation 5e-07 m, temperature 1e+100 K, sphere radius 0.002 m, "
+         "plasma wavelength 1.36e-07 m give a non-finite sphere-plate force"),
+        (("compute", "--lambda-p-nm", "1e300"),
+         "separation 5e-07 m, temperature 300.0 K, sphere radius 0.002 m, "
+         "plasma wavelength 1.0000000000000001e+291 m give a non-finite sphere-plate force"),
+        (("fig1", "--t2-k", "1e100"),
+         "temperature T1 300.0 K, temperature T2 1e+100 K give a non-finite difference force"),
+        # a radius the command does not use is still checked
+        (("fig1", "--radius-mm", "-3"), "argument --radius-mm: sphere radius must be positive, got -3.0"),
+        (("compute", "--geometry", "plates", "--radius-mm", "nan"),
+         "argument --radius-mm: sphere radius must be finite, got nan"),
     ])
     def test_one_error_line(self, capsys, argv, message):
         # a numpy RuntimeWarning from building the grid would raise here
@@ -370,7 +402,8 @@ class TestNonFiniteGrid:
 
 # every name in scenarios that a sweep could call once per grid point
 PER_POINT_NAMES = ("derived_scales", "classify_validity", "delta_force_plates",
-                   "delta_force_sphere", "gap_scales", "positive", "skin_depth_parameter")
+                   "delta_force_sphere", "gap_scales", "positive", "skin_depth_parameter",
+                   "finite")
 
 
 def _counting(counts, name, fn):
@@ -378,6 +411,55 @@ def _counting(counts, name, fn):
         counts[name] += 1
         return fn(*args, **kwargs)
     return wrapper
+
+
+def _reject_constant(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+# every closed-form command; fig1/fig2 sweep [a, 3a], fig3 sweeps T1 to T2
+NO_TRACEBACK_RUNS = (
+    [("compute", "--geometry", geometry, "--approach", approach)
+     for geometry in ("plates", "sphere") for approach in ("plasma", "modified-te", "ideal")]
+    + [("fig1", "--approach", approach) for approach in ("plasma", "ideal")]
+    + [("fig2", "--approach", approach) for approach in ("plasma", "modified-te", "ideal")]
+    + [("fig3", "--approach", approach) for approach in ("plasma", "ideal")]
+)
+ANY_POSITIVE = st.floats(1e-300, 1e300) | st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=ANY_POSITIVE, t1=ANY_POSITIVE, t2=ANY_POSITIVE, lam=ANY_POSITIVE, radius=ANY_POSITIVE)
+@example(a=1e-150, t1=300.0, t2=350.0, lam=136.0, radius=2.0)
+@example(a=0.5, t1=1e-200, t2=1e-199, lam=136.0, radius=2.0)
+@example(a=0.5, t1=300.0, t2=1e100, lam=136.0, radius=2.0)  # compute and fig1
+@example(a=0.5, t1=300.0, t2=350.0, lam=1e300, radius=2.0)
+@example(a=0.5, t1=300.0, t2=350.0, lam=136.0, radius=-3.0)
+@example(a=0.5, t1=300.0, t2=350.0, lam=136.0, radius=math.nan)
+def test_no_traceback_anywhere_in_the_float_range(a, t1, t2, lam, radius):
+    # inputs in um, K, nm and mm; each run prints strict JSON and exits 0,
+    # or prints nothing and exits 1 with one error line
+    common = ["--lambda-p-nm", repr(lam), "--radius-mm", repr(radius)]
+    for command, *flags in NO_TRACEBACK_RUNS:
+        if command == "compute":
+            flags += ["--a-um", repr(a), "--t1-k", repr(t1), "--t2-k", repr(t2)]
+        elif command == "fig3":
+            flags += ["--a-um", repr(a), "--t1-k", repr(t1), "--t2-k", repr(t2), "--points", "3",
+                      "--format", "json"]
+        else:
+            flags += ["--a-min-um", repr(a), "--a-max-um", repr(3.0 * a), "--t1-k", repr(t1),
+                      "--t2-k", repr(t2), "--points", "3", "--format", "json"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([command, *flags, *common])
+        if rc == 0:
+            json.loads(out.getvalue(), parse_constant=_reject_constant)
+            assert err.getvalue() == ""
+        else:
+            assert (rc, out.getvalue()) == (1, "")
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 def _figure_call_counts(counts, tmp_path, points, *flags):

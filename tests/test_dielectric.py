@@ -6,42 +6,11 @@ from casimir_delta.dielectric import (
     ApproachVariant,
     IdealMetal,
     Plasma,
-    permittivity_imaginary,
     reflection_coefficients,
 )
 from casimir_delta.quantities import CODATA2018
 
 AU = Plasma(136e-9)
-
-
-class TestPermittivity:
-    def test_at_plasma_frequency(self):
-        wp = AU.plasma_frequency()
-        assert permittivity_imaginary(AU, wp) == pytest.approx(2.0, rel=1e-15)
-
-    def test_at_twice_plasma_frequency(self):
-        wp = AU.plasma_frequency()
-        assert permittivity_imaginary(AU, 2 * wp) == pytest.approx(1.25, rel=1e-15)
-
-    def test_first_matsubara_300K(self):
-        # xi_1 = 2*pi*k_B*300/hbar = 2.4678e14 rad/s; frozen direct evaluation
-        xi1 = 2 * math.pi * CODATA2018.k_B * 300.0 / CODATA2018.hbar
-        assert permittivity_imaginary(AU, xi1) == pytest.approx(3150.973033993523, rel=1e-12)
-
-    def test_zero_frequency_is_domain_error(self):
-        with pytest.raises(ValueError):
-            permittivity_imaginary(AU, 0.0)
-
-    def test_ideal_metal_infinite(self):
-        assert permittivity_imaginary(IdealMetal(), 0.0) == math.inf
-        assert permittivity_imaginary(IdealMetal(), 1e15) == math.inf
-
-    def test_real_above_one_and_decreasing(self):
-        wp = AU.plasma_frequency()
-        xis = [0.1 * wp, 0.5 * wp, wp, 3 * wp, 10 * wp]
-        vals = [permittivity_imaginary(AU, xi) for xi in xis]
-        assert all(v > 1.0 for v in vals)
-        assert all(x > y for x, y in zip(vals, vals[1:]))
 
 
 class TestReflectionCoefficients:

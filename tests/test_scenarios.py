@@ -5,6 +5,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from casimir_delta.dielectric import ApproachVariant
 from casimir_delta.lifshitz import ParallelPlates, SpherePlate
+from casimir_delta.perturbative import asymptotic_te_term, te_zero_frequency_asymptotic
+from casimir_delta.quantities import CODATA2018, skin_depth_parameter
 from casimir_delta.scenarios import (
     DEFAULT_SEPARATION_GRID,
     DEFAULT_TEMPERATURE_GRID,
@@ -24,30 +26,20 @@ PAIR = TemperaturePair(300.0, 350.0)
 
 class TestDeltaForcePlates:
     def test_zero_at_equal_temperatures(self):
-        res = delta_force_plates(0.5e-6, TemperaturePair(320.0, 320.0), AU_LP)
-        assert res.delta_F == 0.0
-        assert res.factor1 == 0.0
+        assert delta_force_plates(0.5e-6, TemperaturePair(320.0, 320.0), AU_LP) == 0.0
 
     def test_ideal_metal_separation_independent(self):
-        vals = {delta_force_plates(a, PAIR, 0.0).delta_F for a in (0.2e-6, 0.8e-6, 2e-6)}
+        vals = {delta_force_plates(a, PAIR, 0.0) for a in (0.2e-6, 0.8e-6, 2e-6)}
         assert len(vals) == 1
         (val,) = vals
         assert val < 0.0
-        res = delta_force_plates(1e-6, PAIR, 0.0)
-        assert res.factor2 == 1.0
 
     def test_small_to_large_separation_ratio(self):
         # frozen direct evaluation; the "more than 9 times stronger" claim
-        ratio = abs(delta_force_plates(0.15e-6, PAIR, AU_LP).delta_F) / abs(
-            delta_force_plates(2e-6, PAIR, AU_LP).delta_F
+        ratio = abs(delta_force_plates(0.15e-6, PAIR, AU_LP)) / abs(
+            delta_force_plates(2e-6, PAIR, AU_LP)
         )
         assert ratio == pytest.approx(9.368323477448698, rel=1e-12)
-
-    def test_structure(self):
-        res = delta_force_plates(0.5e-6, PAIR, AU_LP)
-        assert res.delta_F == -res.factor1 * res.factor2
-        assert res.delta_F < 0.0
-        assert isinstance(res.geometry, ParallelPlates)
 
     @settings(max_examples=30)
     @given(
@@ -56,8 +48,8 @@ class TestDeltaForcePlates:
         st.floats(min_value=250.0, max_value=350.0),
     )
     def test_antisymmetry(self, a, t1, t2):
-        fwd = delta_force_plates(a, TemperaturePair(t1, t2), AU_LP).delta_F
-        bwd = delta_force_plates(a, TemperaturePair(t2, t1), AU_LP).delta_F
+        fwd = delta_force_plates(a, TemperaturePair(t1, t2), AU_LP)
+        bwd = delta_force_plates(a, TemperaturePair(t2, t1), AU_LP)
         assert fwd == -bwd
 
 
@@ -65,30 +57,36 @@ class TestDeltaForceSphere:
     def test_zero_at_equal_temperatures_both_approaches(self):
         pair = TemperaturePair(320.0, 320.0)
         for approach in (PLASMA, MOD_TE):
-            assert delta_force_sphere(0.5e-6, pair, 2e-3, AU_LP, approach).delta_F == 0.0
+            assert delta_force_sphere(0.5e-6, pair, 2e-3, AU_LP, approach) == 0.0
 
     def test_plasma_approach_gold_half_micron(self):
         # frozen direct evaluation; ~ -9.6e-14 N at R = 2 mm
         res = delta_force_sphere(0.5e-6, PAIR, 2e-3, AU_LP, PLASMA)
-        assert res.delta_F == pytest.approx(-9.635260838372865e-14, rel=1e-12, abs=0)
-        assert res.delta_F / 2e-3 == pytest.approx(-4.8176304191864324e-11, rel=1e-12, abs=0)
+        assert res == pytest.approx(-9.635260838372865e-14, rel=1e-12, abs=0)
+        assert res / 2e-3 == pytest.approx(-4.8176304191864324e-11, rel=1e-12, abs=0)
 
     def test_modified_te_flips_sign_and_dominates(self):
-        plasma = delta_force_sphere(0.5e-6, PAIR, 2e-3, AU_LP, PLASMA).delta_F
-        mod = delta_force_sphere(0.5e-6, PAIR, 2e-3, AU_LP, MOD_TE).delta_F
+        plasma = delta_force_sphere(0.5e-6, PAIR, 2e-3, AU_LP, PLASMA)
+        mod = delta_force_sphere(0.5e-6, PAIR, 2e-3, AU_LP, MOD_TE)
         assert plasma < 0.0 < mod
         assert abs(mod) / abs(plasma) == pytest.approx(6.314593718627014, rel=1e-12)
 
     def test_approach_gap_is_exactly_the_te_term(self):
-        plasma = delta_force_sphere(0.5e-6, PAIR, 2e-3, AU_LP, PLASMA)
-        mod = delta_force_sphere(0.5e-6, PAIR, 2e-3, AU_LP, MOD_TE)
-        assert mod.delta_F - plasma.delta_F == mod.zero_frequency_te_term
-        assert plasma.zero_frequency_te_term == 0.0
+        # the modified-TE difference adds back the asymptotic TE term's
+        # change, the term the sphere force subtracts at each temperature
+        a, R = 0.5e-6, 2e-3
+        plasma = delta_force_sphere(a, PAIR, R, AU_LP, PLASMA)
+        mod = delta_force_sphere(a, PAIR, R, AU_LP, MOD_TE)
+        d = skin_depth_parameter(AU_LP) / a
+        assert mod - plasma == asymptotic_te_term(a, PAIR.T2 - PAIR.T1, R, d, CODATA2018)
+        te_change = (te_zero_frequency_asymptotic(a, PAIR.T1, R, AU_LP)
+                     - te_zero_frequency_asymptotic(a, PAIR.T2, R, AU_LP))
+        assert mod - plasma == pytest.approx(te_change, rel=1e-12, abs=0)
 
     def test_small_to_large_separation_ratio(self):
         # the "more than 2 times stronger" claim
-        ratio = abs(delta_force_sphere(0.15e-6, PAIR, 1e-3, AU_LP).delta_F) / abs(
-            delta_force_sphere(2e-6, PAIR, 1e-3, AU_LP).delta_F
+        ratio = abs(delta_force_sphere(0.15e-6, PAIR, 1e-3, AU_LP)) / abs(
+            delta_force_sphere(2e-6, PAIR, 1e-3, AU_LP)
         )
         assert ratio == pytest.approx(2.1810620962011713, rel=1e-12)
 
@@ -100,8 +98,8 @@ class TestDeltaForceSphere:
         st.sampled_from([PLASMA, MOD_TE]),
     )
     def test_antisymmetry(self, a, t1, t2, approach):
-        fwd = delta_force_sphere(a, TemperaturePair(t1, t2), 1e-3, AU_LP, approach).delta_F
-        bwd = delta_force_sphere(a, TemperaturePair(t2, t1), 1e-3, AU_LP, approach).delta_F
+        fwd = delta_force_sphere(a, TemperaturePair(t1, t2), 1e-3, AU_LP, approach)
+        bwd = delta_force_sphere(a, TemperaturePair(t2, t1), 1e-3, AU_LP, approach)
         assert fwd == -bwd
 
 
@@ -210,13 +208,13 @@ class TestSweepEqualsScalar:
         pair = TemperaturePair(t1, t2)
         table = sweep_separation(pair, lam, ParallelPlates(), grid=grid)
         for a, real, ideal in table.rows:
-            assert repr(real) == repr(delta_force_plates(a, pair, lam).delta_F)
-            assert repr(ideal) == repr(delta_force_plates(a, pair, 0.0).delta_F)
+            assert repr(real) == repr(delta_force_plates(a, pair, lam))
+            assert repr(ideal) == repr(delta_force_plates(a, pair, 0.0))
         for approach in (PLASMA, MOD_TE):
             table = sweep_separation(pair, lam, SpherePlate(R), approach, grid)
             for a, real, ideal in table.rows:
                 for value, lam_ in ((real, lam), (ideal, 0.0)):
-                    scalar = delta_force_sphere(a, pair, R, lam_, approach).delta_F / R
+                    scalar = delta_force_sphere(a, pair, R, lam_, approach) / R
                     assert repr(value) == repr(scalar)
 
     @settings(max_examples=40, deadline=None)
@@ -236,5 +234,5 @@ class TestSweepEqualsScalar:
             pair = TemperaturePair(t1, T2)
             for value, lam_, approach in ((plasma, lam, PLASMA), (mod_te, lam, MOD_TE),
                                           (ideal, 0.0, PLASMA)):
-                scalar = delta_force_sphere(a, pair, R, lam_, approach).delta_F / R
+                scalar = delta_force_sphere(a, pair, R, lam_, approach) / R
                 assert repr(value) == repr(scalar)
