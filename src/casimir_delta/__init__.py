@@ -5,7 +5,6 @@ Lifshitz oracle."""
 
 from .quantities import (
     CODATA2018,
-    Constants,
     classify_validity,
     derived_scales,
     positive,

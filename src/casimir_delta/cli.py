@@ -12,7 +12,6 @@ import functools
 import itertools
 import json
 import math
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -46,9 +45,6 @@ from .scenarios import (
     sweep_temperature,
 )
 from .validation import run_acceptance_checks
-
-PRECISION_ENV = "CASIMIR_DELTA_PRECISION"
-
 
 class UsageError(Exception):
     pass
@@ -155,11 +151,11 @@ def build_parser() -> _Parser:
     pc.add_argument("--a-um", type=float, default=0.5)
     pc.add_argument("--oracle", action="store_true",
                     help="also run the Lifshitz engine and report deviations")
-    pc.add_argument("--tail-tol", type=float, default=None,
+    pc.add_argument("--tail-tol", type=float, default=DEFAULT_MATSUBARA.relative_tail_tolerance,
                     help="Matsubara tail tolerance, in (0, 1): the sum stops at the first "
                          "order below it relative to the partial sum; a sum that would run "
                          "past 256 orders is closed analytically after 64 (default 1e-9)")
-    pc.add_argument("--quad-tol", type=float, default=None,
+    pc.add_argument("--quad-tol", type=float, default=DEFAULT_QUADRATURE.relative_tolerance,
                     help="quadrature tolerance, in (0, 1): bounds each order's change on "
                          "halving the integration step, relative to that order (default 1e-9)")
 
@@ -167,26 +163,6 @@ def build_parser() -> _Parser:
     pv.add_argument("--format", choices=["text", "json"], default="text")
     pv.add_argument("--output", type=str, default=None)
     return parser
-
-
-def _resolve_precision(args: argparse.Namespace) -> tuple[MatsubaraSpec, QuadratureSpec]:
-    """Specs from --tail-tol/--quad-tol, else from CASIMIR_DELTA_PRECISION,
-    else the defaults. A set environment value is checked even where both
-    flags override it; a bad value is a usage error."""
-    matsubara, quadrature = DEFAULT_MATSUBARA, DEFAULT_QUADRATURE
-    env = os.environ.get(PRECISION_ENV)
-    if env:
-        try:
-            base = float(env)
-            matsubara = MatsubaraSpec(relative_tail_tolerance=base)
-            quadrature = QuadratureSpec(relative_tolerance=base)
-        except ValueError as exc:
-            raise UsageError(f"{PRECISION_ENV}={env!r}: {exc}") from exc
-    if args.tail_tol is not None:
-        matsubara = MatsubaraSpec(relative_tail_tolerance=args.tail_tol)
-    if args.quad_tol is not None:
-        quadrature = QuadratureSpec(relative_tolerance=args.quad_tol)
-    return matsubara, quadrature
 
 
 def _resolved_config(args: argparse.Namespace, keys: Sequence[str]) -> dict:
@@ -303,7 +279,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
     }
 
     if args.oracle:
-        matsubara, quadrature = _resolve_precision(args)
+        matsubara = MatsubaraSpec(relative_tail_tolerance=args.tail_tol)
+        quadrature = QuadratureSpec(relative_tolerance=args.quad_tol)
         model = IdealMetal() if lam == 0.0 else Plasma(lam)
         if args.geometry == "plates":
             o1 = plate_pressure(a, pair.T1, model, approach, matsubara, quadrature)
@@ -311,15 +288,18 @@ def cmd_compute(args: argparse.Namespace) -> int:
         else:
             o1 = sphere_plate_force_pfa(a, pair.T1, R, model, approach, matsubara, quadrature)
             o2 = sphere_plate_force_pfa(a, pair.T2, R, model, approach, matsubara, quadrature)
+        engine_diff = o2 - o1
         record["oracle"] = {
             "tail_tolerance": matsubara.relative_tail_tolerance,
             "quadrature_tolerance": quadrature.relative_tolerance,
             "force_T1": _round9(o1),
             "force_T2": _round9(o2),
-            "delta_F": _round9(o2 - o1),
+            "delta_F": _round9(engine_diff),
             "rel_deviation_T1": _round9(abs(f1.total - o1) / abs(o1)),
             "rel_deviation_T2": _round9(abs(f2.total - o2) / abs(o2)),
-            "rel_deviation_delta_F": _round9(abs(diff - (o2 - o1)) / abs(o2 - o1)),
+            # null where the engine's difference is exactly 0, as at T1 == T2
+            "rel_deviation_delta_F": (None if engine_diff == 0.0 else
+                                      _round9(abs(diff - engine_diff) / abs(engine_diff))),
         }
 
     _write(json.dumps(record, indent=2) + "\n", args.output)

@@ -11,7 +11,7 @@ from typing import Union
 
 import numpy as np
 
-from .quantities import Constants, CODATA2018
+from .quantities import CODATA2018
 
 
 @dataclass(frozen=True)
@@ -29,9 +29,9 @@ class Plasma:
         if not (self.lambda_p > 0.0) or math.isinf(self.lambda_p):
             raise ValueError(f"plasma wavelength must be positive and finite, got {self.lambda_p}")
 
-    def plasma_frequency(self, constants: Constants = CODATA2018) -> float:
+    def plasma_frequency(self) -> float:
         """omega_p = 2*pi*c/lambda_p, rad/s. Always derived, never stored."""
-        return 2.0 * math.pi * constants.c / self.lambda_p
+        return 2.0 * math.pi * CODATA2018.c / self.lambda_p
 
 
 MetalModel = Union[IdealMetal, Plasma]
@@ -55,7 +55,6 @@ def fresnel_coefficients(
     y,
     length: float,
     approach: ApproachVariant = ApproachVariant.PLASMA_ZERO_FREQUENCY,
-    constants: Constants = CODATA2018,
 ):
     """Fresnel coefficients (r_TM, r_TE) on the imaginary axis, array-valued.
 
@@ -72,7 +71,7 @@ def fresnel_coefficients(
     if isinstance(model, IdealMetal):
         r_tm, r_te = 1.0, -1.0
     else:
-        w2 = (length * model.plasma_frequency(constants) / constants.c) ** 2
+        w2 = (length * model.plasma_frequency() / CODATA2018.c) ** 2
         p = y + (y * y + w2) ** 0.5  # not np.sqrt: Python floats stay floats
         u2 = u * u
         r_te = -w2 / (p * p)
@@ -86,7 +85,6 @@ def reflection_coefficients(
     model: MetalModel,
     xi: float,
     k_perp: float,
-    constants: Constants = CODATA2018,
 ) -> tuple[float, float]:
     """Fresnel coefficients (r_TM, r_TE) on the imaginary axis for a metal half-space.
 
@@ -100,8 +98,6 @@ def reflection_coefficients(
         raise ValueError("xi and k_perp must be non-negative")
     if xi == 0.0 and k_perp == 0.0:
         raise ValueError("xi and k_perp must not both be zero")
-    u = xi / constants.c
-    r_tm, r_te = fresnel_coefficients(
-        model, u, math.sqrt(k_perp * k_perp + u * u), 1.0, constants=constants
-    )
+    u = xi / CODATA2018.c
+    r_tm, r_te = fresnel_coefficients(model, u, math.sqrt(k_perp * k_perp + u * u), 1.0)
     return float(r_tm), float(r_te)

@@ -26,7 +26,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .dielectric import ApproachVariant, MetalModel, Plasma, fresnel_coefficients
-from .quantities import CODATA2018, Constants, positive
+from .quantities import CODATA2018, positive
 
 _log = logging.getLogger(__name__)
 
@@ -187,7 +187,6 @@ def _matsubara_sum(
     quadrature: QuadratureSpec,
     integrand: Callable[[np.ndarray, tuple[np.ndarray, np.ndarray]], np.ndarray],
     label: str,
-    constants: Constants,
 ) -> float:
     """Sum' over n of Int_{y_n}^inf integrand(y, (r_TM^2, r_TE^2)) dy.
 
@@ -201,7 +200,7 @@ def _matsubara_sum(
     """
     # y_n = 2*a*xi_n/c is the lower integration limit of order n and also the
     # decay scale distinguishing successive terms.
-    y1 = 4.0 * math.pi * a * constants.k_B * T / (constants.hbar * constants.c)
+    y1 = 4.0 * math.pi * a * CODATA2018.k_B * T / (CODATA2018.hbar * CODATA2018.c)
     decay = 1.0 - math.exp(-y1)
     tail = matsubara.relative_tail_tolerance
     # terms fall off like y_n^2 exp(-y_n), so the sum stops near
@@ -215,7 +214,7 @@ def _matsubara_sum(
 
     def grid(lower: np.ndarray, s: np.ndarray) -> np.ndarray:
         y = lower + s
-        r_tm, r_te = fresnel_coefficients(model, lower, y, 2.0 * a, approach, constants)
+        r_tm, r_te = fresnel_coefficients(model, lower, y, 2.0 * a, approach)
         return integrand(y, (r_tm * r_tm, r_te * r_te))
 
     def orders(u: np.ndarray) -> np.ndarray:
@@ -305,15 +304,13 @@ def plate_free_energy_per_area(
     approach: ApproachVariant = ApproachVariant.PLASMA_ZERO_FREQUENCY,
     matsubara: MatsubaraSpec = DEFAULT_MATSUBARA,
     quadrature: QuadratureSpec = DEFAULT_QUADRATURE,
-    constants: Constants = CODATA2018,
 ) -> float:
     """Matsubara free energy per unit area, J/m^2 (negative for attraction)."""
     a_m = positive("separation", a)
     T_k = positive("temperature", T)
-    pref = constants.k_B * T_k / (8.0 * math.pi * a_m * a_m)
+    pref = CODATA2018.k_B * T_k / (8.0 * math.pi * a_m * a_m)
     return pref * _matsubara_sum(
-        a_m, T_k, model, approach, matsubara, quadrature, _free_energy_integrand,
-        "free energy", constants,
+        a_m, T_k, model, approach, matsubara, quadrature, _free_energy_integrand, "free energy"
     )
 
 
@@ -324,7 +321,6 @@ def plate_pressure(
     approach: ApproachVariant = ApproachVariant.PLASMA_ZERO_FREQUENCY,
     matsubara: MatsubaraSpec = DEFAULT_MATSUBARA,
     quadrature: QuadratureSpec = DEFAULT_QUADRATURE,
-    constants: Constants = CODATA2018,
 ) -> float:
     """Force per unit area between the plates, N/m^2 (negative = attraction).
 
@@ -334,10 +330,9 @@ def plate_pressure(
     """
     a_m = positive("separation", a)
     T_k = positive("temperature", T)
-    pref = -constants.k_B * T_k / (8.0 * math.pi * a_m ** 3)
+    pref = -CODATA2018.k_B * T_k / (8.0 * math.pi * a_m ** 3)
     return pref * _matsubara_sum(
-        a_m, T_k, model, approach, matsubara, quadrature, _pressure_integrand,
-        "pressure", constants,
+        a_m, T_k, model, approach, matsubara, quadrature, _pressure_integrand, "pressure"
     )
 
 
@@ -349,18 +344,15 @@ def sphere_plate_force_pfa(
     approach: ApproachVariant = ApproachVariant.PLASMA_ZERO_FREQUENCY,
     matsubara: MatsubaraSpec = DEFAULT_MATSUBARA,
     quadrature: QuadratureSpec = DEFAULT_QUADRATURE,
-    constants: Constants = CODATA2018,
 ) -> float:
     """Sphere-plate force via the proximity force theorem, N.
 
     Exactly 2*pi*R times the plate free energy per area; the mapping itself
     carries a relative error of order a/R, negligible for mm-scale spheres.
     """
-    geometry = SpherePlate(R)
-    energy = plate_free_energy_per_area(
-        a, T, model, approach, matsubara, quadrature, constants
-    )
-    return 2.0 * math.pi * geometry.R * energy
+    R = positive("sphere radius", R)
+    energy = plate_free_energy_per_area(a, T, model, approach, matsubara, quadrature)
+    return 2.0 * math.pi * R * energy
 
 
 def te_zero_frequency_sphere_term(
@@ -369,7 +361,6 @@ def te_zero_frequency_sphere_term(
     R: float,
     lambda_p: float,
     quadrature: QuadratureSpec = DEFAULT_QUADRATURE,
-    constants: Constants = CODATA2018,
 ) -> float:
     """Zero-frequency TE contribution to the sphere-plate force, N.
 
@@ -380,9 +371,8 @@ def te_zero_frequency_sphere_term(
     """
     a_m = positive("separation", a)
     T_k = positive("temperature", T)
-    geometry = SpherePlate(R)
-    model = Plasma(lambda_p)
-    w = 2.0 * a_m * model.plasma_frequency(constants) / constants.c
+    R = positive("sphere radius", R)
+    w = 2.0 * a_m * Plasma(lambda_p).plasma_frequency() / CODATA2018.c
 
     def f(y: float) -> float:
         root = math.sqrt(w * w + y * y)
@@ -403,4 +393,4 @@ def te_zero_frequency_sphere_term(
             f"zero-frequency TE term: {out[3]} (value={out[0]:.6e}, abserr={out[1]:.2e})"
         )
     integral = out[0]
-    return constants.k_B * T_k * geometry.R / (8.0 * a_m * a_m) * integral
+    return CODATA2018.k_B * T_k * R / (8.0 * a_m * a_m) * integral

@@ -16,10 +16,11 @@ exact without them."""
 
 from __future__ import annotations
 
+from math import pi
 from typing import NamedTuple
 
 from .dielectric import ApproachVariant
-from .quantities import CODATA2018, Constants, derived_scales, finite
+from .quantities import CODATA2018, derived_scales, finite
 from .quantities import classify_validity  # noqa: F401  (perfbench's tracer wraps perturbative's copy)
 
 OMITTED_REMAINDER_NOTE = (
@@ -61,24 +62,23 @@ def _terms(base, thermal_ideal, conductivity_first_order, conductivity_higher_or
                              base * correction_factor - zero_frequency_te)
 
 
-def asymptotic_te_term(a, T, R, d, constants: Constants):
+def asymptotic_te_term(a, T, R, d):
     """k_B zeta3 R T/(8 a^2) * (1 - 4d + 12 d^2), elementwise and unchecked:
     minus the asymptotic zero-frequency TE sphere term at a temperature T,
     or, for a temperature change T, minus its change."""
     # a * a rather than a ** 2: on a float ** is libm's pow, which is not
     # always the correctly rounded square that numpy's array ** 2 gives
     return (
-        constants.k_B * constants.zeta3 * R / (8.0 * (a * a))
+        CODATA2018.k_B * CODATA2018.zeta3 * R / (8.0 * (a * a))
         * T * (1.0 - 4.0 * d + 12.0 * d * d)
     )
 
 
-def _plate_terms(a, T, T_eff, d, constants: Constants) -> PerturbativeTerms:
+def _plate_terms(a, T, T_eff, d) -> PerturbativeTerms:
     t = T / T_eff
-    z3 = constants.zeta3
-    pi = constants.pi
+    z3 = CODATA2018.zeta3
     return _terms(
-        base=-pi ** 2 * constants.hbar * constants.c / (240.0 * a ** 4),
+        base=-pi ** 2 * CODATA2018.hbar * CODATA2018.c / (240.0 * a ** 4),
         thermal_ideal=t ** 4 / 3.0,
         conductivity_first_order=-(16.0 / 3.0) * d,
         conductivity_higher_order=(
@@ -88,13 +88,11 @@ def _plate_terms(a, T, T_eff, d, constants: Constants) -> PerturbativeTerms:
     )
 
 
-def _sphere_terms(a, T, R, T_eff, d, approach: ApproachVariant,
-                  constants: Constants) -> PerturbativeTerms:
+def _sphere_terms(a, T, R, T_eff, d, approach: ApproachVariant) -> PerturbativeTerms:
     t = T / T_eff
-    z3 = constants.zeta3
-    pi = constants.pi
+    z3 = CODATA2018.zeta3
     return _terms(
-        base=-pi ** 3 * constants.hbar * constants.c * R / (360.0 * a ** 3),
+        base=-pi ** 3 * CODATA2018.hbar * CODATA2018.c * R / (360.0 * a ** 3),
         thermal_ideal=(45.0 * z3 / pi ** 3) * t ** 3 - t ** 4,
         conductivity_first_order=-4.0 * d,
         conductivity_higher_order=(
@@ -102,27 +100,22 @@ def _sphere_terms(a, T, R, T_eff, d, approach: ApproachVariant,
         ),
         cross_term=4.0 * d * ((45.0 * z3 / (2.0 * pi ** 3)) * t ** 3 - t ** 4),
         zero_frequency_te=(
-            -asymptotic_te_term(a, T, R, d, constants)
+            -asymptotic_te_term(a, T, R, d)
             if approach is ApproachVariant.MODIFIED_TE else 0.0
         ),
     )
 
 
-def plate_force_perturbative(
-    a: float,
-    T: float,
-    lambda_p: float,
-    constants: Constants = CODATA2018,
-) -> PerturbativeTerms:
+def plate_force_perturbative(a: float, T: float, lambda_p: float) -> PerturbativeTerms:
     """Plate-plate force per unit area, N/m^2, term by term (.total):
 
     F0 * {1 + (1/3)t^4 - (16/3)d[1 - (45 zeta3/(8 pi^3)) t^3]
           + 24 d^2 - (640/7)(1 - pi^2/210) d^3}
     with F0 = -pi^2 hbar c/(240 a^4), t = T/T_eff, d = delta/a.
     """
-    a, T, _, T_eff, d = derived_scales(a, lambda_p, T, constants=constants)
+    a, T, _, T_eff, d = derived_scales(a, lambda_p, T)
     inputs = {"separation": a, "temperature": T, "plasma wavelength": lambda_p}
-    return finite("plate-plate force", inputs, _plate_terms, a, T, T_eff, d, constants)
+    return finite("plate-plate force", inputs, _plate_terms, a, T, T_eff, d)
 
 
 def sphere_force_perturbative(
@@ -131,7 +124,6 @@ def sphere_force_perturbative(
     R: float,
     lambda_p: float,
     approach: ApproachVariant = ApproachVariant.PLASMA_ZERO_FREQUENCY,
-    constants: Constants = CODATA2018,
 ) -> PerturbativeTerms:
     """Sphere-plate force, N, term by term (.total):
 
@@ -141,24 +133,18 @@ def sphere_force_perturbative(
     zero-frequency TE term (te_zero_frequency_asymptotic) is subtracted and
     kept in zero_frequency_te.
     """
-    a, T, R, T_eff, d = derived_scales(a, lambda_p, T, R, constants)
+    a, T, R, T_eff, d = derived_scales(a, lambda_p, T, R)
     inputs = {"separation": a, "temperature": T, "sphere radius": R, "plasma wavelength": lambda_p}
-    return finite("sphere-plate force", inputs, _sphere_terms, a, T, R, T_eff, d, approach, constants)
+    return finite("sphere-plate force", inputs, _sphere_terms, a, T, R, T_eff, d, approach)
 
 
-def te_zero_frequency_asymptotic(
-    a: float,
-    T: float,
-    R: float,
-    lambda_p: float,
-    constants: Constants = CODATA2018,
-) -> float:
+def te_zero_frequency_asymptotic(a: float, T: float, R: float, lambda_p: float) -> float:
     """Asymptotic zero-frequency TE sphere term, N.
 
     -(k_B T zeta3 R)/(8 a^2) * (1 - 4d + 12 d^2), an asymptotic expansion in
     d = delta/a, reliable for a >= 0.5 um with gold-like lambda_p; degrades
     monotonically below.
     """
-    a, T, R, _, d = derived_scales(a, lambda_p, T, R, constants)
+    a, T, R, _, d = derived_scales(a, lambda_p, T, R)
     inputs = {"separation": a, "temperature": T, "sphere radius": R, "plasma wavelength": lambda_p}
-    return -finite("zero-frequency TE term", inputs, asymptotic_te_term, a, T, R, d, constants)
+    return -finite("zero-frequency TE term", inputs, asymptotic_te_term, a, T, R, d)

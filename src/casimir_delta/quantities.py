@@ -18,13 +18,13 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Constants:
-    """Fundamental constants (CODATA 2018) plus the math constants used here."""
+    """Fundamental constants (CODATA 2018) and zeta(3). Formulas read the one
+    instance, CODATA2018, when they run; the constants are never passed."""
 
     hbar: float = 1.054571817e-34  # J s
     c: float = 299792458.0         # m/s (exact)
     k_B: float = 1.380649e-23      # J/K (exact)
     zeta3: float = 1.2020569031595943
-    pi: float = math.pi
 
 
 CODATA2018 = Constants()
@@ -49,13 +49,13 @@ def positive(name: str, value: float) -> float:
     return value
 
 
-def gap_scales(a, delta, constants: Constants = CODATA2018):
+def gap_scales(a, delta):
     """(T_eff, delta/a) with T_eff = hbar*c/(2*a*k_B), elementwise for an array
     of separations a (m). Unchecked: the callers check a and delta first.
     A float a so small that 2*a*k_B underflows to 0 is a ValueError; in an
     array it gives an infinite T_eff."""
     try:
-        T_eff = constants.hbar * constants.c / (2.0 * a * constants.k_B)
+        T_eff = CODATA2018.hbar * CODATA2018.c / (2.0 * a * CODATA2018.k_B)
     except ZeroDivisionError:
         raise ValueError(f"separation {a!r} m is too small: 2 a k_B underflows to 0") from None
     return T_eff, delta / a
@@ -73,8 +73,7 @@ def skin_depth_parameter(lambda_p: float) -> float:
     return _plasma_wavelength(lambda_p) / (2.0 * math.pi)
 
 
-def derived_scales(a: float, lambda_p: float, T: float | None = None, R: float | None = None,
-                   constants: Constants = CODATA2018):
+def derived_scales(a: float, lambda_p: float, T: float | None = None, R: float | None = None):
     """The one preamble of the scalar closed forms: a, lambda_p and, where
     given, T and R checked once each (a TemperaturePair checks its own two),
     then the gap scales taken once. Returns (a, T, R, T_eff, delta/a), with
@@ -82,7 +81,7 @@ def derived_scales(a: float, lambda_p: float, T: float | None = None, R: float |
     a = positive("separation", a)
     T = T if T is None else positive("temperature", T)
     R = R if R is None else positive("sphere radius", R)
-    return (a, T, R, *gap_scales(a, skin_depth_parameter(lambda_p), constants))
+    return (a, T, R, *gap_scales(a, skin_depth_parameter(lambda_p)))
 
 
 def finite(what: str, inputs: dict, evaluate, *args, grid=None):
@@ -91,9 +90,14 @@ def finite(what: str, inputs: dict, evaluate, *args, grid=None):
     forms' results, scalar and swept. A value that is not finite, or a
     Python OverflowError or ZeroDivisionError on the way, is a ValueError
     "<inputs> give a non-finite <what>" that names each of `inputs` (label
-    to value) with its value and unit. Columns over a grid pass
-    grid=(label, points): a cell that is not finite is then named by the
-    first grid point with one."""
+    to value) with its value and unit. Columns over a grid pass the scalar
+    inputs and grid=(label, points): a cell that is not finite then adds
+    " at <label> <point>", the first grid point with one."""
+
+    def named(label, value):  # temperatures are in K, every other input is a length in m
+        return f"{label} {float(value)!r} {'K' if label.startswith('temperature') else 'm'}"
+
+    at = ""
     try:
         with np.errstate(all="ignore"):
             values = evaluate(*args)
@@ -102,13 +106,11 @@ def finite(what: str, inputs: dict, evaluate, *args, grid=None):
             return values
         if grid is not None:
             label, points = grid
-            inputs = {label: points[ok.all(axis=0).argmin()]}
+            at = " at " + named(label, points[ok.all(axis=0).argmin()])
     except (OverflowError, ZeroDivisionError):
         pass
-    # temperatures are in K, every other input is a length in m
-    named = ", ".join(f"{label} {float(value)!r} {'K' if label.startswith('temperature') else 'm'}"
-                      for label, value in inputs.items())
-    raise ValueError(f"{named} give{'s' if len(inputs) == 1 else ''} a non-finite {what}")
+    inputs = ", ".join(named(label, value) for label, value in inputs.items())
+    raise ValueError(f"{inputs} give a non-finite {what}{at}")
 
 
 def classify_validity(a: float, T1: float, T2: float, lambda_p: float) -> tuple[str, ...]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import pi
 
 import numpy as np
 
@@ -22,7 +23,6 @@ from .lifshitz import Geometry, ParallelPlates
 from .perturbative import asymptotic_te_term
 from .quantities import (
     CODATA2018,
-    Constants,
     derived_scales,
     finite,
     gap_scales,
@@ -44,15 +44,14 @@ class TemperaturePair:
         object.__setattr__(self, "T2", positive("temperature", self.T2))
 
 
-def _plates_difference(T1, T2, T_eff, d, constants: Constants):
+def _plates_difference(T1, T2, T_eff, d):
     """delta_F of the plate closed form, -factor1 * factor2, elementwise where
     T_eff and d are arrays over separations. T1 and T2 stay floats: numpy's
     array ** is not Python's pow bit for bit."""
-    z3 = constants.zeta3
-    pi = constants.pi
+    z3 = CODATA2018.zeta3
     factor1 = (
-        pi ** 2 * constants.k_B ** 4 * (T2 ** 4 - T1 ** 4)
-        / (45.0 * constants.hbar ** 3 * constants.c ** 3)
+        pi ** 2 * CODATA2018.k_B ** 4 * (T2 ** 4 - T1 ** 4)
+        / (45.0 * CODATA2018.hbar ** 3 * CODATA2018.c ** 3)
     )
     factor2 = 1.0 + (90.0 * z3 / pi ** 3) * d * (
         T_eff / (T1 + T2)
@@ -60,43 +59,36 @@ def _plates_difference(T1, T2, T_eff, d, constants: Constants):
     return -factor1 * factor2
 
 
-def _sphere_difference(a, T1, T2, R, T_eff, d, approach: ApproachVariant, constants: Constants):
+def _sphere_difference(a, T1, T2, R, T_eff, d, approach: ApproachVariant):
     """delta_F of the sphere-plate closed form, -R * factor1 * factor2 plus
     the zero-frequency TE term, elementwise where a (with T_eff and d) or T2
     is an array. The TE term is added even when it is 0.0, which turns a
     -0.0 into 0.0."""
-    z3 = constants.zeta3
-    pi = constants.pi
+    z3 = CODATA2018.zeta3
     factor1 = (
-        z3 * constants.k_B ** 3 * (T2 - T1) * (T1 * T1 + T2 * T2)
-        / (constants.hbar ** 2 * constants.c ** 2)
+        z3 * CODATA2018.k_B ** 3 * (T2 - T1) * (T1 * T1 + T2 * T2)
+        / (CODATA2018.hbar ** 2 * CODATA2018.c ** 2)
     )
     factor2 = (1.0 + T1 * T2 / (T1 * T1 + T2 * T2)) * (1.0 + 2.0 * d) - (
         pi ** 3 / (45.0 * z3)
     ) * ((T1 + T2) / T_eff) * (1.0 + 4.0 * d)
     te_term = 0.0
     if approach is ApproachVariant.MODIFIED_TE:
-        te_term = asymptotic_te_term(a, T2 - T1, R, d, constants)
+        te_term = asymptotic_te_term(a, T2 - T1, R, d)
     return -R * factor1 * factor2 + te_term
 
 
-def delta_force_plates(
-    a: float,
-    pair: TemperaturePair,
-    lambda_p: float,
-    constants: Constants = CODATA2018,
-) -> float:
+def delta_force_plates(a: float, pair: TemperaturePair, lambda_p: float) -> float:
     """Plate-plate difference force per unit area, N/m^2.
 
     The dimensionful prefactor pi^2 k_B^4 (T2^4 - T1^4)/(45 hbar^3 c^3) is
     separation independent; finite conductivity enters only through the
     dimensionless factor, which is 1 for an ideal metal.
     """
-    a, _, _, T_eff, d = derived_scales(a, lambda_p, constants=constants)
+    a, _, _, T_eff, d = derived_scales(a, lambda_p)
     inputs = {"separation": a, "temperature T1": pair.T1, "temperature T2": pair.T2,
               "plasma wavelength": lambda_p}
-    return finite("difference force", inputs, _plates_difference, pair.T1, pair.T2, T_eff, d,
-                  constants)
+    return finite("difference force", inputs, _plates_difference, pair.T1, pair.T2, T_eff, d)
 
 
 def delta_force_sphere(
@@ -105,7 +97,6 @@ def delta_force_sphere(
     R: float,
     lambda_p: float,
     approach: ApproachVariant = ApproachVariant.PLASMA_ZERO_FREQUENCY,
-    constants: Constants = CODATA2018,
 ) -> float:
     """Sphere-plate difference force, N.
 
@@ -113,11 +104,11 @@ def delta_force_sphere(
     (k_B zeta3 R/(8 a^2)) (T2 - T1)(1 - 4d + 12 d^2) is added back, flipping
     the sign of the total for gold-like parameters.
     """
-    a, _, R, T_eff, d = derived_scales(a, lambda_p, R=R, constants=constants)
+    a, _, R, T_eff, d = derived_scales(a, lambda_p, R=R)
     inputs = {"separation": a, "temperature T1": pair.T1, "temperature T2": pair.T2,
               "sphere radius": R, "plasma wavelength": lambda_p}
     return finite("difference force", inputs, _sphere_difference, a, pair.T1, pair.T2, R, T_eff,
-                  d, approach, constants)
+                  d, approach)
 
 
 @dataclass(frozen=True)
@@ -163,10 +154,10 @@ class SweepTable:
     rows: tuple[tuple[float, ...], ...]
 
 
-def _sphere_per_radius(a, T1, T2, R, delta, approach, constants: Constants):
+def _sphere_per_radius(a, T1, T2, R, delta, approach):
     """The sphere-plate delta_F / R column over an array of a or of T2."""
-    T_eff, d = gap_scales(a, delta, constants)
-    return _sphere_difference(a, T1, T2, R, T_eff, d, approach, constants) / R
+    T_eff, d = gap_scales(a, delta)
+    return _sphere_difference(a, T1, T2, R, T_eff, d, approach) / R
 
 
 def sweep_separation(
@@ -175,7 +166,6 @@ def sweep_separation(
     geometry: Geometry,
     approach: ApproachVariant = ApproachVariant.PLASMA_ZERO_FREQUENCY,
     grid: SweepSpec = DEFAULT_SEPARATION_GRID,
-    constants: Constants = CODATA2018,
 ) -> SweepTable:
     """Difference force over a separation grid, with the ideal-metal companion
     column every figure contrasts against. Sphere-plate values are per unit
@@ -184,24 +174,28 @@ def sweep_separation(
     The inputs are checked once (the grid is monotone, so at its ends) and
     each column is one elementwise pass of the closed form over the grid;
     every cell equals the scalar delta_force_* value (over R) bit for bit.
-    Inputs for which a cell is not finite are a ValueError."""
+    Inputs for which a cell is not finite are a ValueError that names the
+    scalar inputs and the first separation with such a cell."""
     a = grid.values()
     for end in (a[0], a[-1]):
         positive("separation", end)
     delta = skin_depth_parameter(lambda_p)
     T1, T2 = pair.T1, pair.T2
+    inputs = {"temperature T1": T1, "temperature T2": T2}
     if isinstance(geometry, ParallelPlates):
         columns = ("a_m", "dF_real_N_per_m2", "dF_ideal_N_per_m2")
 
         def column(depth):
-            return _plates_difference(T1, T2, *gap_scales(a, depth, constants), constants)
+            return _plates_difference(T1, T2, *gap_scales(a, depth))
     else:
         columns = ("a_m", "dFps_over_R_real_N_per_m", "dFps_over_R_ideal_N_per_m")
+        inputs["sphere radius"] = geometry.R
 
         def column(depth):
-            return _sphere_per_radius(a, T1, T2, geometry.R, depth, approach, constants)
-    values = finite("difference force", {"temperature T1": T1, "temperature T2": T2},
-                    lambda: (column(delta), column(0.0)), grid=("separation", a))
+            return _sphere_per_radius(a, T1, T2, geometry.R, depth, approach)
+    inputs["plasma wavelength"] = lambda_p
+    values = finite("difference force", inputs, lambda: (column(delta), column(0.0)),
+                    grid=("separation", a))
     return SweepTable(columns, tuple(zip(a.tolist(), *(v.tolist() for v in values))))
 
 
@@ -211,14 +205,14 @@ def sweep_temperature(
     lambda_p: float,
     R: float = 1.0e-3,
     grid: SweepSpec = DEFAULT_TEMPERATURE_GRID,
-    constants: Constants = CODATA2018,
 ) -> SweepTable:
     """Sphere-plate difference force per unit radius versus the upper
     temperature, under both prescriptions, with the ideal-metal reference.
 
     As in sweep_separation, the inputs are checked once, each column is
     one elementwise pass over the T2 grid, equal to the scalar values, and
-    inputs for which a cell is not finite are a ValueError."""
+    inputs for which a cell is not finite are a ValueError that names the
+    scalar inputs and the first T2 with such a cell."""
     T1 = positive("temperature", T1)
     T2 = grid.values()
     for end in (T2[0], T2[-1]):
@@ -232,9 +226,9 @@ def sweep_temperature(
         (0.0, ApproachVariant.PLASMA_ZERO_FREQUENCY),
     )
     values = finite(
-        "difference force", {"separation": a, "temperature T1": T1},
-        lambda: tuple(_sphere_per_radius(a, T1, T2, R, depth, approach, constants)
-                      for depth, approach in cases),
+        "difference force",
+        {"separation": a, "temperature T1": T1, "sphere radius": R, "plasma wavelength": lambda_p},
+        lambda: tuple(_sphere_per_radius(a, T1, T2, R, depth, approach) for depth, approach in cases),
         grid=("temperature T2", T2))
     columns = (
         "T2_K",

@@ -1,11 +1,12 @@
 """Acceptance checklist: every quantitative claim the library is expected to
 reproduce, as one table of rows (check id, measure, band, detail). A measure
-maps the physical constants to the one number the claim is about; the band is
+takes no argument and returns the one number the claim is about; the band is
 the text the report prints, and `passes` reads the pass test from that same
 text. Shared by the test suite and the `validate` CLI command."""
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ from .perturbative import (
     sphere_force_perturbative,
     te_zero_frequency_asymptotic,
 )
-from .quantities import CODATA2018, Constants
+from .quantities import CODATA2018
 from .scenarios import (
     DEFAULT_SEPARATION_GRID,
     DEFAULT_TEMPERATURE_GRID,
@@ -86,98 +87,96 @@ def passes(band: str, x: float) -> bool:
     return above and (x <= hi if m[4] == "]" else x < hi)
 
 
-def _dF_plates(a, c: Constants, pair=PAIR, lambda_p=AU_LAMBDA_P) -> float:
-    return delta_force_plates(a, pair, lambda_p, c)
+def _dF_plates(a, pair=PAIR, lambda_p=AU_LAMBDA_P) -> float:
+    return delta_force_plates(a, pair, lambda_p)
 
 
-def _dF_sphere(a, c: Constants, pair=PAIR, R=1e-3, approach=PLASMA) -> float:
-    return delta_force_sphere(a, pair, R, AU_LAMBDA_P, approach, c)
+def _dF_sphere(a, pair=PAIR, R=1e-3, approach=PLASMA) -> float:
+    return delta_force_sphere(a, pair, R, AU_LAMBDA_P, approach)
 
 
 # per geometry (R = 1 mm), the engine's force at (a, T) and the closed-form dF at a
-_ENGINE = {"pp": lambda a, T, c: plate_pressure(a, T, GOLD, constants=c),
-           "ps": lambda a, T, c: sphere_plate_force_pfa(a, T, 1e-3, GOLD, constants=c)}
+_ENGINE = {"pp": lambda a, T: plate_pressure(a, T, GOLD),
+           "ps": lambda a, T: sphere_plate_force_pfa(a, T, 1e-3, GOLD)}
 _CLOSED_FORM = {"pp": _dF_plates, "ps": _dF_sphere}
 
 
-def _plate_thermal(a: float, c: Constants) -> float:
-    return plate_force_perturbative(a, 300.0, 0.0, c).thermal_ideal
+def _plate_thermal(a: float) -> float:
+    return plate_force_perturbative(a, 300.0, 0.0).thermal_ideal
 
 
-def _sphere_thermal(a: float, c: Constants) -> float:
-    return sphere_force_perturbative(a, 300.0, 1e-3, 0.0, constants=c).thermal_ideal
+def _sphere_thermal(a: float) -> float:
+    return sphere_force_perturbative(a, 300.0, 1e-3, 0.0).thermal_ideal
 
 
-def _small_over_large(dF, c: Constants) -> float:
-    return abs(dF(0.15e-6, c)) / abs(dF(2e-6, c))
+def _small_over_large(dF) -> float:
+    return abs(dF(0.15e-6)) / abs(dF(2e-6))
 
 
-def _contrast(approach: ApproachVariant, c: Constants) -> float:
+def _contrast(approach: ApproachVariant) -> float:
     """Sphere dF under one prescription at a = 0.5 um, R = 2 mm, 300 -> 350 K."""
-    return _dF_sphere(0.5e-6, c, R=2e-3, approach=approach)
+    return _dF_sphere(0.5e-6, R=2e-3, approach=approach)
 
 
-def _ideal_vs_plasma_fig3(c: Constants) -> float:
-    table = sweep_temperature(0.5e-6, 300.0, AU_LAMBDA_P, 2e-3, DEFAULT_TEMPERATURE_GRID, c)
+def _ideal_vs_plasma_fig3() -> float:
+    table = sweep_temperature(0.5e-6, 300.0, AU_LAMBDA_P, 2e-3, DEFAULT_TEMPERATURE_GRID)
     # at T2 = T1 = 300 K both columns are exactly zero
     return max(abs(ideal - pl) / abs(pl) for T2, pl, _, ideal in table.rows if T2 != 300.0)
 
 
-def _plate_absolute(a: float, T: float, c: Constants) -> float:
+def _plate_absolute(a: float, T: float) -> float:
     """Perturbative plate force vs the Lifshitz pressure. The closed form
     carries the conductivity series through third order in delta/a, so the
     gap is the omitted fourth-order remainder plus the truncated thermal cross
     terms: ~0.1% at 0.5 um for gold, falling to ~0.006% at 1 um."""
-    oracle = _ENGINE["pp"](a, T, c)
-    pert = plate_force_perturbative(a, T, AU_LAMBDA_P, c).total
+    oracle = _ENGINE["pp"](a, T)
+    pert = plate_force_perturbative(a, T, AU_LAMBDA_P).total
     return abs(pert - oracle) / abs(oracle)
 
 
-def _difference(geometry: str, a: float, c: Constants) -> float:
+def _difference(geometry: str, a: float) -> float:
     """Closed-form dF vs the engine's P(T2) - P(T1), or F for the sphere."""
     engine, closed_form = _ENGINE[geometry], _CLOSED_FORM[geometry]
-    eng = engine(a, PAIR.T2, c) - engine(a, PAIR.T1, c)
-    return abs(closed_form(a, c) - eng) / abs(eng)
+    eng = engine(a, PAIR.T2) - engine(a, PAIR.T1)
+    return abs(closed_form(a) - eng) / abs(eng)
 
 
-def _te0(a: float, lambda_p: float, c: Constants) -> float:
+def _te0(a: float, lambda_p: float) -> float:
     """Zero-frequency TE quadrature vs its asymptotic expansion."""
-    quad_val = te_zero_frequency_sphere_term(a, 300.0, 1e-3, lambda_p, constants=c)
-    asym = te_zero_frequency_asymptotic(a, 300.0, 1e-3, lambda_p, c)
+    quad_val = te_zero_frequency_sphere_term(a, 300.0, 1e-3, lambda_p)
+    asym = te_zero_frequency_asymptotic(a, 300.0, 1e-3, lambda_p)
     return abs(asym - quad_val) / abs(quad_val)
 
 
-def _antisymmetry(c: Constants) -> float:
+def _antisymmetry() -> float:
     a, swapped = 0.5e-6, TemperaturePair(PAIR.T2, PAIR.T1)
-    fwd, bwd = _dF_plates(a, c), _dF_plates(a, c, swapped)
-    fwd_s = _dF_sphere(a, c, approach=MODIFIED_TE)
-    bwd_s = _dF_sphere(a, c, swapped, approach=MODIFIED_TE)
+    fwd, bwd = _dF_plates(a), _dF_plates(a, swapped)
+    fwd_s = _dF_sphere(a, approach=MODIFIED_TE)
+    bwd_s = _dF_sphere(a, swapped, approach=MODIFIED_TE)
     return max(abs(fwd + bwd) / abs(fwd), abs(fwd_s + bwd_s) / abs(fwd_s))
 
 
-def _zero_at_equal_T(c: Constants) -> float:
+def _zero_at_equal_T() -> float:
     eq = TemperaturePair(320.0, 320.0)
-    return max(abs(_dF_plates(0.5e-6, c, eq)),
-               abs(_dF_sphere(0.5e-6, c, eq, approach=MODIFIED_TE)))
+    return max(abs(_dF_plates(0.5e-6, eq)), abs(_dF_sphere(0.5e-6, eq, approach=MODIFIED_TE)))
 
 
-def _ideal_plate_values(c: Constants) -> float:
-    return float(len({_dF_plates(x, c, lambda_p=0.0) for x in (0.2e-6, 0.7e-6, 1.5e-6)}))
+def _ideal_plate_values() -> float:
+    return float(len({_dF_plates(x, lambda_p=0.0) for x in (0.2e-6, 0.7e-6, 1.5e-6)}))
 
 
-def _monotone(c: Constants) -> float:
+def _monotone() -> float:
     def decreasing(geometry) -> bool:
-        table = sweep_separation(PAIR, AU_LAMBDA_P, geometry, grid=DEFAULT_SEPARATION_GRID,
-                                 constants=c)
+        table = sweep_separation(PAIR, AU_LAMBDA_P, geometry, grid=DEFAULT_SEPARATION_GRID)
         mags = [abs(r[1]) for r in table.rows]
         return all(x > y for x, y in zip(mags, mags[1:]))
 
     return float(all(decreasing(g) for g in (ParallelPlates(), SpherePlate(1e-3))))
 
 
-def _pfa_linear_in_R(c: Constants) -> float:
-    f1 = sphere_plate_force_pfa(0.5e-6, 300.0, 1e-3, GOLD, constants=c)
-    f2 = sphere_plate_force_pfa(0.5e-6, 300.0, 2e-3, GOLD, constants=c)
+def _pfa_linear_in_R() -> float:
+    f1 = sphere_plate_force_pfa(0.5e-6, 300.0, 1e-3, GOLD)
+    f2 = sphere_plate_force_pfa(0.5e-6, 300.0, 2e-3, GOLD)
     return abs(f2 - 2.0 * f1) / abs(f2)
 
 
@@ -187,17 +186,17 @@ def _pfa_linear_in_R(c: Constants) -> float:
 COLD = MatsubaraSpec(relative_tail_tolerance=1e-7)
 
 
-def _ideal_T0_pressure(c: Constants) -> float:
+def _ideal_T0_pressure() -> float:
     a0 = 1e-6
-    p0 = plate_pressure(a0, 1.0, IdealMetal(), matsubara=COLD, constants=c)
-    p_ref = -c.pi ** 2 * c.hbar * c.c / (240.0 * a0 ** 4)
+    p0 = plate_pressure(a0, 1.0, IdealMetal(), matsubara=COLD)
+    p_ref = -math.pi ** 2 * CODATA2018.hbar * CODATA2018.c / (240.0 * a0 ** 4)
     return abs(p0 - p_ref) / abs(p_ref)
 
 
-def _ideal_T0_sphere(c: Constants) -> float:
+def _ideal_T0_sphere() -> float:
     a0, R = 1e-6, 1e-3
-    f0 = sphere_plate_force_pfa(a0, 1.0, R, IdealMetal(), matsubara=COLD, constants=c)
-    f_ref = -c.pi ** 3 * c.hbar * c.c * R / (360.0 * a0 ** 3)
+    f0 = sphere_plate_force_pfa(a0, 1.0, R, IdealMetal(), matsubara=COLD)
+    f_ref = -math.pi ** 3 * CODATA2018.hbar * CODATA2018.c * R / (360.0 * a0 ** 3)
     return abs(f0 - f_ref) / abs(f_ref)
 
 
@@ -208,10 +207,9 @@ TIGHT_M = MatsubaraSpec(relative_tail_tolerance=1e-11)
 TIGHT_Q = QuadratureSpec(relative_tolerance=1e-11)
 
 
-def _thermodynamic_identity(c: Constants) -> float:
+def _thermodynamic_identity() -> float:
     def F(x: float) -> float:
-        return plate_free_energy_per_area(x, 300.0, GOLD, matsubara=TIGHT_M,
-                                          quadrature=TIGHT_Q, constants=c)
+        return plate_free_energy_per_area(x, 300.0, GOLD, matsubara=TIGHT_M, quadrature=TIGHT_Q)
 
     worst = 0.0
     for ax in (0.4e-6, 0.7e-6, 1.2e-6):
@@ -219,7 +217,7 @@ def _thermodynamic_identity(c: Constants) -> float:
         d1 = (F(ax + h) - F(ax - h)) / (2.0 * h)
         d2 = (F(ax + h / 2.0) - F(ax - h / 2.0)) / h
         dF_da = (4.0 * d2 - d1) / 3.0
-        p = plate_pressure(ax, 300.0, GOLD, matsubara=TIGHT_M, quadrature=TIGHT_Q, constants=c)
+        p = plate_pressure(ax, 300.0, GOLD, matsubara=TIGHT_M, quadrature=TIGHT_Q)
         worst = max(worst, abs(-dF_da - p) / abs(p))
     return worst
 
@@ -234,11 +232,11 @@ CHECKS = [
     ("fig1-ratio>9", partial(_small_over_large, _dF_plates), "(9, 10)", ""),
     ("fig2-ratio>2", partial(_small_over_large, _dF_sphere), "(2, 2.5)", ""),
     ("fig3-modte/plasma-ratio>6",
-     lambda c: abs(_contrast(MODIFIED_TE, c)) / abs(_contrast(PLASMA, c)), "> 6", ""),
+     lambda: abs(_contrast(MODIFIED_TE)) / abs(_contrast(PLASMA)), "> 6", ""),
     ("fig3-modte-positive", partial(_contrast, MODIFIED_TE), "> 0", ""),
     ("fig3-plasma-negative", partial(_contrast, PLASMA), "< 0", ""),
     ("fig3-ideal-within-10pct-of-plasma", _ideal_vs_plasma_fig3, "<= 0.10", ""),
-    ("magnitude-order-1e-13N", lambda c: abs(_contrast(PLASMA, c)), "[0.5e-13, 2e-13] N", ""),
+    ("magnitude-order-1e-13N", lambda: abs(_contrast(PLASMA)), "[0.5e-13, 2e-13] N", ""),
     *((f"oracle-pp-abs-3pct-a={a * 1e6:g}um-T={T:g}K", partial(_plate_absolute, a, T), "<= 0.03",
        "gap is the omitted fourth-order conductivity remainder")
       for a in (0.5e-6, 0.7e-6, 1.0e-6) for T in (300.0, 350.0)),
@@ -259,11 +257,12 @@ CHECKS = [
 ]
 
 
-def run_acceptance_checks(constants: Constants = CODATA2018) -> list[CheckResult]:
-    """Run every row of CHECKS, in order. Takes about 20 ms in-process, plus
-    about 0.8 s for the first import of scipy, which the te0 rows load."""
+def run_acceptance_checks() -> list[CheckResult]:
+    """Run every row of CHECKS, in order, each measure called with no
+    argument. Takes about 20 ms in-process, plus about 0.8 s for the first
+    import of scipy, which the te0 rows load."""
     results = []
     for check_id, measure, band, detail in CHECKS:
-        x = measure(constants)
+        x = measure()
         results.append(CheckResult(check_id, passes(band, x), x, band, detail))
     return results

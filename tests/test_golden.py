@@ -13,12 +13,11 @@ After an intended output change, rewrite the files with
 
 import json
 import math
-import os
 from pathlib import Path
 
 import pytest
 
-from casimir_delta.cli import PRECISION_ENV, main
+from casimir_delta.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -70,11 +69,6 @@ def _assert_close(got, want, where: str = "") -> None:
         assert type(got) is type(want) and got == want, f"{where}: {got!r} != {want!r}"
 
 
-@pytest.fixture(autouse=True)
-def _default_precision(monkeypatch):
-    monkeypatch.delenv(PRECISION_ENV, raising=False)
-
-
 @pytest.mark.parametrize("name", sorted(EXACT))
 def test_closed_form_output_is_byte_identical(name, tmp_path):
     assert _render(EXACT[name], tmp_path / name) == (GOLDEN / name).read_text()
@@ -87,7 +81,6 @@ def test_engine_output_matches_to_nine_digits(name, tmp_path):
 
 
 if __name__ == "__main__":
-    os.environ.pop(PRECISION_ENV, None)
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in {**EXACT, **NUMERIC}.items():
         _render(argv, GOLDEN / name)
