@@ -172,6 +172,31 @@ class TestTolerances:
         assert out == ""
         assert "must be finite and in (0, 1)" in err
 
+    @pytest.mark.parametrize("value,message", [
+        ("-1", "must be finite and in (0, 1)"), ("0", "must be finite and in (0, 1)"),
+        ("nan", "must be finite and in (0, 1)"), ("abc", "argument --tail-tol: invalid float value"),
+    ], ids=["-1", "0", "nan", "abc"])
+    def test_bad_config_tolerance_is_usage_error(self, capsys, tmp_path, value, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"tail-tol = {value}\n")
+        rc, out, err = run(capsys, "compute", "--oracle", "--geometry", "plates", "--config", str(cfg))
+        assert rc == 1
+        assert out == ""
+        assert message in err
+
+    def test_oracle_defaults_to_spec_tolerances(self, capsys):
+        rc, out, _ = run(capsys, "compute", "--oracle", "--geometry", "plates", "--a-um", "1.0")
+        assert rc == 0
+        oracle = json.loads(out)["oracle"]
+        assert (oracle["tail_tolerance"], oracle["quadrature_tolerance"]) == (1e-9, 1e-9)
+
+    def test_tolerance_flags_reach_oracle(self, capsys):
+        rc, out, _ = run(capsys, "compute", "--oracle", "--geometry", "plates", "--a-um", "1.0",
+                         "--tail-tol", "1e-6", "--quad-tol", "1e-7")
+        assert rc == 0
+        oracle = json.loads(out)["oracle"]
+        assert (oracle["tail_tolerance"], oracle["quadrature_tolerance"]) == (1e-6, 1e-7)
+
     def test_unreachable_quadrature_tolerance_is_numerical_error(self, capsys):
         # valid, but below double-precision rounding: the step refinement
         # runs out of levels and reports it instead of looping
