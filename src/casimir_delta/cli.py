@@ -12,6 +12,8 @@ import functools
 import itertools
 import json
 import math
+import os
+import stat
 import sys
 from typing import Optional, Sequence
 
@@ -199,13 +201,21 @@ def _emit_table(table: SweepTable, cfg: dict, fmt: str,
     return config + ',\n  "rows": [\n' + rows + "\n  ]\n}\n"
 
 
+def _open_in_place(path: str, flags: int) -> int:
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)  # 0o666: the mode open(path, "w") gives
+
+
 def _write(text: str, output: Optional[str]) -> None:
     if not output:
         sys.stdout.write(text)
         return
     try:
-        with open(output, "w") as fh:
+        # in place, then cut to the new length: O_TRUNC would first free the old
+        # blocks, which costs more than rendering a figure; devices and pipes are never cut
+        with open(output, "w", opener=_open_in_place) as fh:
             fh.write(text)
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
     except OSError as exc:
         raise UsageError(f"cannot write {output}: {exc}") from exc
 
@@ -257,6 +267,9 @@ def cmd_compute(args: argparse.Namespace) -> int:
     approach = _approach(args)
     if args.geometry == "plates" and approach is ApproachVariant.MODIFIED_TE:
         raise UsageError("the modified-te prescription is defined for the sphere geometry only")
+    # checked with or without --oracle: a bad tolerance is a usage error either way
+    matsubara = MatsubaraSpec(relative_tail_tolerance=args.tail_tol)
+    quadrature = QuadratureSpec(relative_tolerance=args.quad_tol)
 
     if args.geometry == "plates":
         f1, f2 = (plate_force_perturbative(a, T, lam) for T in (pair.T1, pair.T2))
@@ -279,8 +292,6 @@ def cmd_compute(args: argparse.Namespace) -> int:
     }
 
     if args.oracle:
-        matsubara = MatsubaraSpec(relative_tail_tolerance=args.tail_tol)
-        quadrature = QuadratureSpec(relative_tolerance=args.quad_tol)
         model = IdealMetal() if lam == 0.0 else Plasma(lam)
         if args.geometry == "plates":
             o1 = plate_pressure(a, pair.T1, model, approach, matsubara, quadrature)

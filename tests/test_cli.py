@@ -161,25 +161,32 @@ class TestCompute:
         assert rec["validity_warnings"]
 
 
+# compute checks its tolerances whether or not it runs the engine
+ORACLE_FLAGS = pytest.mark.parametrize("oracle", [("--oracle",), ()], ids=["oracle", "closed-form"])
+
+
 class TestTolerances:
+    @ORACLE_FLAGS
     @pytest.mark.parametrize("flag,value", [
         ("--quad-tol", "-1"), ("--quad-tol", "0"), ("--quad-tol", "nan"),
         ("--tail-tol", "nan"), ("--tail-tol", "1"), ("--tail-tol", "inf"),
     ])
-    def test_bad_tolerance_is_usage_error(self, capsys, flag, value):
-        rc, out, err = run(capsys, "compute", "--oracle", "--geometry", "plates", flag, value)
+    def test_bad_tolerance_is_usage_error(self, capsys, flag, value, oracle):
+        rc, out, err = run(capsys, "compute", *oracle, "--geometry", "plates", flag, value)
         assert rc == 1
         assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert "must be finite and in (0, 1)" in err
 
+    @ORACLE_FLAGS
     @pytest.mark.parametrize("value,message", [
         ("-1", "must be finite and in (0, 1)"), ("0", "must be finite and in (0, 1)"),
         ("nan", "must be finite and in (0, 1)"), ("abc", "argument --tail-tol: invalid float value"),
     ], ids=["-1", "0", "nan", "abc"])
-    def test_bad_config_tolerance_is_usage_error(self, capsys, tmp_path, value, message):
+    def test_bad_config_tolerance_is_usage_error(self, capsys, tmp_path, value, message, oracle):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"tail-tol = {value}\n")
-        rc, out, err = run(capsys, "compute", "--oracle", "--geometry", "plates", "--config", str(cfg))
+        rc, out, err = run(capsys, "compute", *oracle, "--geometry", "plates", "--config", str(cfg))
         assert rc == 1
         assert out == ""
         assert message in err
@@ -296,6 +303,30 @@ class TestOutputFile:
         assert (rc, out) == (1, "")
         assert err.startswith(f"error: cannot write {path}: ")
         assert err.count("\n") == 1
+
+    def test_shorter_rewrite_leaves_no_stale_tail(self, capsys, tmp_path):
+        path = tmp_path / "fig1.out"
+        assert run(capsys, "fig1", "--format", "json", "--points", "500",
+                   "--output", str(path))[0] == 0
+        rc, _, _ = run(capsys, "fig1", "--points", "4", "--output", str(path))
+        _, out, _ = run(capsys, "fig1", "--points", "4")
+        assert rc == 0
+        assert path.read_bytes() == out.encode()
+
+    @pytest.mark.parametrize("argv", [("fig1", "--points", "4"), ("compute",), ("validate",)],
+                             ids=["fig1", "compute", "validate"])
+    def test_devnull_is_written_not_cut(self, capsys, argv):
+        assert run(capsys, *argv, "--output", os.devnull) == (0, "", "")
+
+    def test_new_file_has_the_mode_open_gives(self, capsys, tmp_path):
+        old_umask = os.umask(0o022)
+        try:
+            open(tmp_path / "reference", "w").close()
+            rc, _, _ = run(capsys, "fig1", "--points", "4", "--output", str(tmp_path / "fig1.csv"))
+        finally:
+            os.umask(old_umask)
+        assert rc == 0
+        assert (tmp_path / "fig1.csv").stat().st_mode == (tmp_path / "reference").stat().st_mode
 
 
 class TestValidate:
@@ -500,6 +531,32 @@ def test_figure_work_does_not_grow_with_points(monkeypatch, tmp_path):
         monkeypatch.setattr(scenarios, name, _counting(counts, name, getattr(scenarios, name)))
     few = _figure_call_counts(counts, tmp_path, 10)
     assert few and few == _figure_call_counts(counts, tmp_path, 500)
+
+
+def test_output_is_opened_without_truncating(monkeypatch, tmp_path):
+    # a flag count, not a time: O_TRUNC frees the blocks of a file that
+    # holds data before the write, which costs more than rendering a figure
+    counts = collections.Counter()
+    path = str(tmp_path / "out")
+    os_open = os.open
+
+    def recording_open(file, flags, *args, **kwargs):
+        if os.fspath(file) == path:
+            counts["opens"] += 1
+            counts["O_TRUNC"] += bool(flags & os.O_TRUNC)
+        return os_open(file, flags, *args, **kwargs)
+
+    def open_through_os_open(file, mode="r", *args, opener=None, **kwargs):
+        # open() without an opener calls the C open(file, flags, 0o666) directly;
+        # make that call through os.open so that its flags are recorded too
+        opener = opener or (lambda file, flags: os.open(file, flags, 0o666))
+        return open(file, mode, *args, opener=opener, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    monkeypatch.setattr(cli, "open", open_through_os_open, raising=False)
+    for argv in (["fig1"], ["fig2", "--format", "json"], ["fig3"], ["compute"], ["validate"]):
+        assert main([*argv, "--output", path]) == 0
+    assert counts == {"opens": 5, "O_TRUNC": 0}
 
 
 def test_json_figure_encoding_does_not_grow_with_points(monkeypatch, tmp_path):
