@@ -48,6 +48,7 @@ from .scenarios import (
 )
 from .validation import run_acceptance_checks
 
+
 class UsageError(Exception):
     pass
 
@@ -57,7 +58,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# every float the CLI prints is rounded to 9 significant digits by this format
+# every float the CLI prints is rounded to 9 significant digits: CSV cells are
+# this format's text, JSON numbers the float it parses back to (figure cells
+# reach the same text by format(x, ".9"), see _emit_table)
 _DIGITS9 = "%.8e"
 
 
@@ -179,25 +182,32 @@ def _emit_table(table: SweepTable, cfg: dict, fmt: str,
     """Render a sweep table (at least one row, every cell finite, as the
     sweeps guarantee); the first column is rescaled to CLI units.
 
-    One format string per table prints every cell at 9 significant digits:
-    that is the CSV body. The JSON text is the bytes of
+    The CSV body is one format string over the table, every cell at 9
+    significant digits. The JSON text is the bytes of
     json.dumps({"config": cfg, "rows": [{column: _round9(cell), ...}, ...]},
     indent=2) + "\\n", built without json's indenting encoder, which runs in
-    Python for every cell: the rows are one % over a row template, and each
-    cell is the repr (what json writes for a finite float) of the float its
-    9 digits parse back to."""
+    Python for every cell: the rows are one % over a row template. Each cell
+    is printed once, by format(cell, ".9"), which is the text json writes
+    (the repr of the 9-digit float) but in two ranges: a 9-digit value in
+    [1e8, 1e16), which repr keeps in fixed notation, and a subnormal, whose
+    shortest repr can have other digits. Cells whose text has an "e+" or an
+    "e-3" exponent, a superset of both, are that repr instead."""
     columns = (first_col_name,) + table.columns[1:]
     ncols, nrows = len(columns), len(table.rows)
     cells = list(itertools.chain.from_iterable(table.rows))
     cells[::ncols] = [x * first_col_scale for x in cells[::ncols]]
-    body = "\n".join([",".join([_DIGITS9] * ncols)] * nrows) % tuple(cells)
     if fmt == "csv":
+        body = "\n".join([",".join([_DIGITS9] * ncols)] * nrows) % tuple(cells)
         lines = [f"# {k} = {v}" for k, v in cfg.items()]
         return "\n".join(lines + [",".join(columns), body]) + "\n"
+    text = ",".join(["{:.9}"] * len(cells)).format(*cells)
+    cells = text.split(",")
+    if "e+" in text or "e-3" in text:
+        cells = [repr(float(c)) if "e+" in c or "e-3" in c else c for c in cells]
     config = json.dumps({"config": cfg}, indent=2)[:-2]  # open: without the closing "\n}"
     keys = (json.dumps(c).replace("%", "%%") for c in columns)  # literal in the template
-    row = "    {\n" + ",\n".join(f"      {k}: %r" for k in keys) + "\n    }"
-    rows = ",\n".join([row] * nrows) % tuple(map(float, body.replace("\n", ",").split(",")))
+    row = "    {\n" + ",\n".join(f"      {k}: %s" for k in keys) + "\n    }"
+    rows = ",\n".join([row] * nrows) % tuple(cells)
     return config + ',\n  "rows": [\n' + rows + "\n  ]\n}\n"
 
 
@@ -288,7 +298,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
         "units": "N_per_m2" if args.geometry == "plates" else "N",
         "terms_T2": {k: _round9(v) for k, v in f2._asdict().items() if k != "total"},
         "notes": [OMITTED_REMAINDER_NOTE] if lam > 0.0 else [],
-        "validity_warnings": list(classify_validity(a, pair.T1, pair.T2, lam)),
+        "validity_warnings": list(classify_validity(
+            a, pair.T1, pair.T2, lam, modified_te=approach is ApproachVariant.MODIFIED_TE)),
     }
 
     if args.oracle:

@@ -160,6 +160,17 @@ class TestCompute:
         rec = json.loads(out)
         assert rec["validity_warnings"]
 
+    @pytest.mark.parametrize("a_um,approach,warned", [
+        ("0.2", "modified-te", True), ("0.3", "modified-te", False), ("0.2", "plasma", False)])
+    def test_modified_te_below_0p3_um_warns(self, capsys, a_um, approach, warned):
+        # the asymptotic TE term leaves its range: the closed form is 4.75% off the engine at 0.2 um
+        rc, out, err = run(capsys, "compute", "--approach", approach, "--a-um", a_um)
+        assert (rc, err) == (0, "")
+        # nothing else is out of the window at 0.2-0.3 um
+        assert json.loads(out)["validity_warnings"] == (
+            ["separation 2.000e-07 m below 3.0e-07 m; modified-TE closed form not reliable "
+             "here (its asymptotic TE term drifts from the engine)"] if warned else [])
+
 
 # compute checks its tolerances whether or not it runs the engine
 ORACLE_FLAGS = pytest.mark.parametrize("oracle", [("--oracle",), ()], ids=["oracle", "closed-form"])
@@ -589,6 +600,12 @@ def _table_text_reference(table, cfg, fmt, first_col_scale, first_col_name):
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# log-uniform over 1e-320 to 1e20, either sign: every run draws cells in the two
+# ranges where a JSON cell's 9-digit text is not format(x, ".9"), [1e8, 1e16)
+# and the subnormals, which uniform draws over the float range all but miss
+LOG_UNIFORM = st.builds(lambda sign, e: sign * 10.0 ** e,
+                        st.sampled_from([-1.0, 1.0]), st.floats(-320.0, 20.0))
+CELLS = st.one_of(FINITE, LOG_UNIFORM)
 
 
 @st.composite
@@ -597,8 +614,8 @@ def figure_tables(draw):
     distinct names, 1-60 rows of finite cells, finite after the scale too."""
     names = draw(st.lists(st.text(max_size=6), min_size=1, max_size=5, unique=True))
     scale = draw(st.sampled_from([1.0, 1e6]))
-    first = st.floats(-1e300, 1e300) if scale > 1.0 else FINITE
-    rows = draw(st.lists(st.tuples(first, *[FINITE] * (len(names) - 1)), min_size=1, max_size=60))
+    first = st.one_of(st.floats(-1e300, 1e300), LOG_UNIFORM) if scale > 1.0 else CELLS
+    rows = draw(st.lists(st.tuples(first, *[CELLS] * (len(names) - 1)), min_size=1, max_size=60))
     cfg = draw(st.dictionaries(st.text(max_size=6), st.one_of(
         st.none(), st.booleans(), st.integers(), FINITE, st.text(max_size=6)), max_size=4))
     return SweepTable(("grid",) + tuple(names[1:]), tuple(rows)), cfg, scale, names[0]
@@ -606,9 +623,12 @@ def figure_tables(draw):
 
 # each cell at an edge of the 9-digit rounding or of repr's notation:
 # 9.999999995e-05 rounds to 0.0001 and 9.9999999951e15 to 1e+16, 9.9999999949e15
-# stays 9999999990000000.0; then the largest, smallest and smallest normal floats
+# stays 9999999990000000.0; 99999999.95 rounds up to 100000000.0 and 99999999.94
+# stays 99999999.9; then the largest, smallest and smallest normal floats, and
+# subnormals whose repr is not their 9 digits (7.1e-316 against 7.10000001e-316)
 EDGE_CELLS = (1.7976931348623157e308, 9.999999995e-05, 1e16, 123456789.0, -0.0, 0.0, 5e-324,
-              -2.2250738585072014e-308, 1e-05, 0.0001, 9.9999999949e15, 9.9999999951e15, 0.15e-6)
+              -2.2250738585072014e-308, 1e-05, 0.0001, 9.9999999949e15, 9.9999999951e15, 0.15e-6,
+              99999999.95, 99999999.94, -1.5e15, 7.1e-316, 3.3e-320, 2.2250738585072014e-308)
 
 
 @settings(max_examples=200, deadline=None)
@@ -621,6 +641,18 @@ def test_table_text_equals_the_reference(case):
     for fmt in ("json", "csv"):
         got = cli._emit_table(table, cfg, fmt, scale, name)
         assert got == _table_text_reference(table, cfg, fmt, scale, name)
+
+
+# figures whose grid cells reach [1e8, 1e16), where repr keeps fixed notation
+@pytest.mark.parametrize("argv,cell", [
+    (("fig3", "--t1-k", "1", "--t2-k", "2e8", "--points", "7"), '"T2_K": 133333334.0'),
+    (("fig1", "--a-min-um", "1e-7", "--a-max-um", "3e9", "--points", "40"), '"a_um": 162050505.0'),
+])
+def test_extreme_range_figures_are_json_dumps_text(capsys, argv, cell):
+    rc, out, err = run(capsys, *argv, "--format", "json")
+    assert (rc, err) == (0, "")
+    assert cell in out
+    assert out == json.dumps(json.loads(out, parse_constant=_reject_constant), indent=2) + "\n"
 
 
 def test_parser_reuse_leaks_no_state_between_calls(capsys, tmp_path):
