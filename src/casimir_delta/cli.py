@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import os
@@ -193,9 +192,10 @@ def _emit_table(table: SweepTable, cfg: dict, fmt: str,
     shortest repr can have other digits. Cells whose text has an "e+" or an
     "e-3" exponent, a superset of both, are that repr instead."""
     columns = (first_col_name,) + table.columns[1:]
-    ncols, nrows = len(columns), len(table.rows)
-    cells = list(itertools.chain.from_iterable(table.rows))
-    cells[::ncols] = [x * first_col_scale for x in cells[::ncols]]
+    nrows, ncols = table.values.shape
+    values = table.values.copy()
+    values[:, 0] *= first_col_scale
+    cells = values.ravel().tolist()
     if fmt == "csv":
         body = "\n".join([",".join([_DIGITS9] * ncols)] * nrows) % tuple(cells)
         lines = [f"# {k} = {v}" for k, v in cfg.items()]
@@ -249,7 +249,7 @@ def _approach(args: argparse.Namespace) -> ApproachVariant:
 
 def cmd_separation_sweep(args: argparse.Namespace) -> int:
     """fig1 (plates) and fig2 (sphere, per unit radius)."""
-    grid = SweepSpec(args.a_min_um * 1e-6, args.a_max_um * 1e-6, args.points, "log")
+    grid = SweepSpec(args.a_min_um * 1e-6, args.a_max_um * 1e-6, args.points)
     pair = TemperaturePair(args.t1_k, args.t2_k)
     geometry = ParallelPlates() if args.command == "fig1" else SpherePlate(args.radius_mm * 1e-3)
     table = sweep_separation(pair, _lambda_p(args), geometry, _approach(args), grid)
@@ -260,9 +260,8 @@ def cmd_separation_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_fig3(args: argparse.Namespace) -> int:
-    grid = SweepSpec(args.t1_k, args.t2_k, args.points, "linear")
-    table = sweep_temperature(args.a_um * 1e-6, args.t1_k, _lambda_p(args),
-                              args.radius_mm * 1e-3, grid)
+    grid = SweepSpec(args.t1_k, args.t2_k, args.points)
+    table = sweep_temperature(args.a_um * 1e-6, _lambda_p(args), args.radius_mm * 1e-3, grid)
     cfg = _resolved_config(args, ["approach", "lambda_p_nm", "t1_k", "t2_k",
                                   "a_um", "points", "format"])
     _write(_emit_table(table, cfg, args.format, 1.0, "T2_K"), args.output)

@@ -12,8 +12,8 @@ every closed-form perturbative expression is checked against, so its default
 tolerances are set far below the acceptance bands (1e-9 vs 0.5-5%). The
 zero-frequency TE sphere term keeps scipy's adaptive quadrature, as a
 cross-check of the engine's n = 0 TE term; it is the only code that loads
-scipy, on its first call, so importing the package and every CLI command but
-`validate` need numpy alone.
+scipy, on its first call, so importing this module (or any other of the
+package) and every CLI command but `validate` need numpy alone.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .dielectric import ApproachVariant, MetalModel, Plasma, fresnel_coefficients
-from .quantities import CODATA2018, positive
+from .quantities import CODATA2018, finite, positive
 
 _log = logging.getLogger(__name__)
 
@@ -149,13 +149,17 @@ def _order_integrals(
     grid(lower, s) evaluates g on the (orders x nodes) array. Each order's
     sum at step h is checked against the nested sum at 2h; the orders that
     disagree by more than the quadrature tolerance get the next level's
-    nodes, and QuadratureError is raised past the finest level.
+    nodes, and QuadratureError is raised past the finest level; a value that
+    is not finite never converges, and is a FloatingPointError there.
     """
+    # the sums over nodes are einsum, not @: a BLAS dgemv rounds differently
+    # on each CPU kernel OpenBLAS picks, and the engine's values must not
+    # depend on the machine
     h, s, w = _NODES[0]
     values = grid(u, s)
-    total = values @ w
+    total = np.einsum("ij,j->i", values, w)
     result = h * total
-    coarse = 2.0 * h * (values[:, ::2] @ w[::2])
+    coarse = 2.0 * h * np.einsum("ij,j->i", values[:, ::2], w[::2])
     rows = np.arange(u.shape[0])
     for level in range(1, _LEVELS + 1):
         gap = np.abs(result[rows] - coarse)
@@ -166,6 +170,8 @@ def _order_integrals(
         if rows.size == 0:
             return result
         if level == _LEVELS:
+            if not np.isfinite(result[rows]).all():
+                raise FloatingPointError(f"{label}: an order integral is not finite")
             i = rows[0]
             raise QuadratureError(
                 f"{label} y_n={u[i, 0]:.3e}: not converged at the finest step "
@@ -173,7 +179,7 @@ def _order_integrals(
             )
         h, s, w = _NODES[level]
         coarse = result[rows]
-        total[rows] += grid(u[rows], s) @ w
+        total[rows] += np.einsum("ij,j->i", grid(u[rows], s), w)
         result[rows] = h * total[rows]
     return result
 
@@ -197,7 +203,20 @@ def _matsubara_sum(
     the rest with the Euler-Maclaurin formula; any other sum that has not
     stopped by _CLOSE_AFTER orders is closed there. Order 0, with its 1/2
     weight and the modified-TE zero, is always in the explicit head.
+
+    A sum that is not finite, as where the plasma kernel overflows, is a
+    ValueError that names the separation, the temperature and the plasma
+    wavelength (quantities.finite).
     """
+    inputs = {"separation": a, "temperature": T}
+    if isinstance(model, Plasma):
+        inputs["plasma wavelength"] = model.lambda_p
+    return finite(label, inputs, _unchecked_sum, a, T, model, approach, matsubara,
+                  quadrature, integrand, label)
+
+
+def _unchecked_sum(a, T, model, approach, matsubara, quadrature, integrand, label):
+    """_matsubara_sum's sum, unchecked."""
     # y_n = 2*a*xi_n/c is the lower integration limit of order n and also the
     # decay scale distinguishing successive terms.
     y1 = 4.0 * math.pi * a * CODATA2018.k_B * T / (CODATA2018.hbar * CODATA2018.c)

@@ -89,8 +89,10 @@ def derived_scales(a: float, lambda_p: float, T: float | None = None, R: float |
 def finite(what: str, inputs: dict, evaluate, *args, grid=None):
     """evaluate(*args), run with numpy's floating-point warnings off, once
     every value it returns is found finite: the one check of the closed
-    forms' results, scalar and swept. A value that is not finite, or a
-    Python OverflowError or ZeroDivisionError on the way, is a ValueError
+    forms' results, scalar and swept, and of the engine's sums. A value
+    that is not finite, or an ArithmeticError on the way (a Python
+    OverflowError or ZeroDivisionError, or the engine's FloatingPointError
+    for an order integral that is not finite), is a ValueError
     "<inputs> give a non-finite <what>" that names each of `inputs` (label
     to value) with its value and unit. Columns over a grid pass the scalar
     inputs and grid=(label, points): a cell that is not finite then adds
@@ -109,7 +111,7 @@ def finite(what: str, inputs: dict, evaluate, *args, grid=None):
         if grid is not None:
             label, points = grid
             at = " at " + named(label, points[ok.all(axis=0).argmin()])
-    except (OverflowError, ZeroDivisionError):
+    except ArithmeticError:
         pass
     inputs = ", ".join(named(label, value) for label, value in inputs.items())
     raise ValueError(f"{inputs} give a non-finite {what}{at}")

@@ -113,12 +113,13 @@ def delta_force_sphere(
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Grid over separation (m) or over the upper temperature (K)."""
+    """Grid of `points` values from start to stop: geometric over separation
+    (m), linear over the upper temperature (K). A one-point grid is [start],
+    whatever its stop; any other runs upwards, so start is its least value."""
 
     start: float
     stop: float
     points: int
-    spacing: str = "log"  # "log" or "linear"
 
     def __post_init__(self) -> None:
         for end in ("start", "stop"):
@@ -127,31 +128,24 @@ class SweepSpec:
                 raise ValueError(f"grid {end} must be finite, got {value!r}")
         if self.points < 1:
             raise ValueError("grid needs at least one point")
-        if self.points > 1 and not self.start < self.stop:
-            raise ValueError("grid start must be below stop for more than one point")
-        if self.spacing not in ("log", "linear"):
-            raise ValueError(f"unknown spacing {self.spacing!r}")
-        if self.spacing == "log" and self.start <= 0.0:
-            raise ValueError("log spacing needs a positive start")
-
-    def values(self) -> np.ndarray:
         if self.points == 1:
-            return np.array([self.start])
-        if self.spacing == "log":
-            return np.geomspace(self.start, self.stop, self.points)
-        return np.linspace(self.start, self.stop, self.points)
+            object.__setattr__(self, "stop", self.start)
+        elif not self.start < self.stop:
+            raise ValueError("grid start must be below stop for more than one point")
 
 
-DEFAULT_SEPARATION_GRID = SweepSpec(0.15e-6, 2.0e-6, 75, "log")
-DEFAULT_TEMPERATURE_GRID = SweepSpec(300.0, 350.0, 51, "linear")
+DEFAULT_SEPARATION_GRID = SweepSpec(0.15e-6, 2.0e-6, 75)
+DEFAULT_TEMPERATURE_GRID = SweepSpec(300.0, 350.0, 51)
 
 
 @dataclass(frozen=True)
 class SweepTable:
-    """Column-labelled rows; sphere-plate columns are per unit radius (N/m)."""
+    """Labelled columns over a grid: values is the (points x columns) array
+    whose column 0 is the grid. Sphere-plate columns are per unit radius
+    (N/m)."""
 
     columns: tuple[str, ...]
-    rows: tuple[tuple[float, ...], ...]
+    values: np.ndarray
 
 
 def _sphere_per_radius(a, T1, T2, R, delta, approach):
@@ -171,14 +165,14 @@ def sweep_separation(
     column every figure contrasts against. Sphere-plate values are per unit
     radius, so the result does not depend on the sphere's R.
 
-    The inputs are checked once (the grid is monotone, so at its ends) and
-    each column is one elementwise pass of the closed form over the grid;
-    every cell equals the scalar delta_force_* value (over R) bit for bit.
-    Inputs for which a cell is not finite are a ValueError that names the
-    scalar inputs and the first separation with such a cell."""
-    a = grid.values()
-    for end in (a[0], a[-1]):
-        positive("separation", end)
+    The grid is np.geomspace(start, stop, points). The inputs are checked
+    once (the grid's least separation is its start) and each column is one
+    elementwise pass of the closed form over the grid; every cell equals
+    the scalar delta_force_* value (over R) bit for bit. Inputs for which a
+    cell is not finite are a ValueError that names the scalar inputs and
+    the first separation with such a cell."""
+    positive("separation", grid.start)
+    a = np.geomspace(grid.start, grid.stop, grid.points)
     delta = skin_depth_parameter(lambda_p)
     T1, T2 = pair.T1, pair.T2
     inputs = {"temperature T1": T1, "temperature T2": T2}
@@ -196,12 +190,11 @@ def sweep_separation(
     inputs["plasma wavelength"] = lambda_p
     values = finite("difference force", inputs, lambda: (column(delta), column(0.0)),
                     grid=("separation", a))
-    return SweepTable(columns, tuple(zip(a.tolist(), *(v.tolist() for v in values))))
+    return SweepTable(columns, np.column_stack((a, *values)))
 
 
 def sweep_temperature(
     a: float,
-    T1: float,
     lambda_p: float,
     R: float = 1.0e-3,
     grid: SweepSpec = DEFAULT_TEMPERATURE_GRID,
@@ -209,14 +202,14 @@ def sweep_temperature(
     """Sphere-plate difference force per unit radius versus the upper
     temperature, under both prescriptions, with the ideal-metal reference.
 
-    As in sweep_separation, the inputs are checked once, each column is
-    one elementwise pass over the T2 grid, equal to the scalar values, and
-    inputs for which a cell is not finite are a ValueError that names the
-    scalar inputs and the first T2 with such a cell."""
-    T1 = positive("temperature", T1)
-    T2 = grid.values()
-    for end in (T2[0], T2[-1]):
-        positive("temperature", end)
+    The grid is np.linspace(start, stop, points), and T1 is its start, so
+    the first row is T2 = T1. As in sweep_separation, the inputs are checked
+    once, each column is one elementwise pass over the T2 grid, equal to
+    the scalar values, and inputs for which a cell is not finite are a
+    ValueError that names the scalar inputs and the first T2 with such a
+    cell."""
+    T1 = positive("temperature", grid.start)
+    T2 = np.linspace(T1, grid.stop, grid.points)
     a = positive("separation", a)
     R = positive("sphere radius", R)
     delta = skin_depth_parameter(lambda_p)
@@ -236,4 +229,4 @@ def sweep_temperature(
         "dFps_over_R_modified_te_N_per_m",
         "dFps_over_R_ideal_N_per_m",
     )
-    return SweepTable(columns, tuple(zip(T2.tolist(), *(v.tolist() for v in values))))
+    return SweepTable(columns, np.column_stack((T2, *values)))

@@ -12,6 +12,8 @@ import re
 from dataclasses import dataclass
 from functools import partial
 
+import numpy as np
+
 from .dielectric import ApproachVariant, IdealMetal, Plasma
 from .lifshitz import (
     MatsubaraSpec,
@@ -119,9 +121,10 @@ def _contrast(approach: ApproachVariant) -> float:
 
 
 def _ideal_vs_plasma_fig3() -> float:
-    table = sweep_temperature(0.5e-6, 300.0, AU_LAMBDA_P, 2e-3, DEFAULT_TEMPERATURE_GRID)
-    # at T2 = T1 = 300 K both columns are exactly zero
-    return max(abs(ideal - pl) / abs(pl) for T2, pl, _, ideal in table.rows if T2 != 300.0)
+    table = sweep_temperature(0.5e-6, AU_LAMBDA_P, 2e-3, DEFAULT_TEMPERATURE_GRID)
+    # the first row, T2 = T1, is exactly zero in both columns
+    _, pl, _, ideal = table.values[1:].T
+    return float(np.max(np.abs(ideal - pl) / np.abs(pl)))
 
 
 def _plate_absolute(a: float, T: float) -> float:
@@ -168,8 +171,8 @@ def _ideal_plate_values() -> float:
 def _monotone() -> float:
     def decreasing(geometry) -> bool:
         table = sweep_separation(PAIR, AU_LAMBDA_P, geometry, grid=DEFAULT_SEPARATION_GRID)
-        mags = [abs(r[1]) for r in table.rows]
-        return all(x > y for x, y in zip(mags, mags[1:]))
+        mags = np.abs(table.values[:, 1])
+        return bool(np.all(mags[:-1] > mags[1:]))
 
     return float(all(decreasing(g) for g in (ParallelPlates(), SpherePlate(1e-3))))
 

@@ -9,6 +9,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -451,6 +452,13 @@ class TestNonFiniteGrid:
         (("fig1", "--radius-mm", "-3"), "argument --radius-mm: sphere radius must be positive, got -3.0"),
         (("compute", "--geometry", "plates", "--radius-mm", "nan"),
          "argument --radius-mm: sphere radius must be finite, got nan"),
+        # the engine's plasma kernel overflows: in Python's float ** at 1e-160 nm,
+        # in numpy's products at 1e-150 nm
+        *((("compute", "--oracle", "--geometry", geometry, "--lambda-p-nm", nm),
+           f"separation 5e-07 m, temperature 300.0 K, plasma wavelength {lam} m "
+           f"give a non-finite {sum_}")
+          for nm, lam in (("1e-160", "1e-169"), ("1e-150", "1.0000000000000001e-159"))
+          for geometry, sum_ in (("plates", "pressure"), ("sphere", "free energy"))),
     ])
     def test_one_error_line(self, capsys, argv, message):
         # a numpy RuntimeWarning from building the grid would raise here
@@ -458,6 +466,14 @@ class TestNonFiniteGrid:
             warnings.simplefilter("error")
             rc, out, err = run(capsys, *argv)
         assert (rc, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("geometry", ["plates", "sphere"])
+    def test_oracle_runs_at_a_tiny_plasma_wavelength(self, capsys, geometry):
+        # ten decades above the first wavelength the kernel overflows at
+        rc, out, err = run(capsys, "compute", "--oracle", "--geometry", geometry,
+                           "--lambda-p-nm", "1e-140")
+        assert (rc, err) == (0, "")
+        assert json.loads(out)["oracle"]["rel_deviation_T1"] < 1e-3
 
     def test_nonpositive_temperature_message_kept(self, capsys):
         rc, out, err = run(capsys, "fig3", "--t1-k", "0")
@@ -588,7 +604,7 @@ def test_json_figure_encoding_does_not_grow_with_points(monkeypatch, tmp_path):
 def _table_text_reference(table, cfg, fmt, first_col_scale, first_col_name):
     """The figure tables as json.dumps(indent=2) and a per-cell f-string write them."""
     columns = (first_col_name,) + table.columns[1:]
-    rows = [(r[0] * first_col_scale,) + r[1:] for r in table.rows]
+    rows = [(r[0] * first_col_scale,) + tuple(r[1:]) for r in table.values.tolist()]
     if fmt == "json":
         payload = {"config": cfg,
                    "rows": [{c: float(f"{v:.8e}") for c, v in zip(columns, row)} for row in rows]}
@@ -618,7 +634,7 @@ def figure_tables(draw):
     rows = draw(st.lists(st.tuples(first, *[CELLS] * (len(names) - 1)), min_size=1, max_size=60))
     cfg = draw(st.dictionaries(st.text(max_size=6), st.one_of(
         st.none(), st.booleans(), st.integers(), FINITE, st.text(max_size=6)), max_size=4))
-    return SweepTable(("grid",) + tuple(names[1:]), tuple(rows)), cfg, scale, names[0]
+    return SweepTable(("grid",) + tuple(names[1:]), np.array(rows)), cfg, scale, names[0]
 
 
 # each cell at an edge of the 9-digit rounding or of repr's notation:
@@ -633,9 +649,11 @@ EDGE_CELLS = (1.7976931348623157e308, 9.999999995e-05, 1e16, 123456789.0, -0.0, 
 
 @settings(max_examples=200, deadline=None)
 @given(figure_tables())
-@example((SweepTable(("a_m", "x", "y"), tuple(zip(EDGE_CELLS[1:], EDGE_CELLS, EDGE_CELLS[::-1]))),
+@example((SweepTable(("a_m", "x", "y"), np.column_stack((EDGE_CELLS[1:], EDGE_CELLS[:-1],
+                                                        EDGE_CELLS[:0:-1]))),
           {"command": "fig1", "points": 12, "a_min_um": 0.15, "format": "json"}, 1e6, "a_um"))
-@example((SweepTable(("T2_K", "v"), tuple((c, -c) for c in EDGE_CELLS)), {}, 1.0, "T2_K"))
+@example((SweepTable(("T2_K", "v"), np.column_stack((EDGE_CELLS, np.negative(EDGE_CELLS)))),
+          {}, 1.0, "T2_K"))
 def test_table_text_equals_the_reference(case):
     table, cfg, scale, name = case
     for fmt in ("json", "csv"):

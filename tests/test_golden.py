@@ -2,10 +2,12 @@
 compared with its file under tests/golden/.
 
 The closed-form outputs (fig1-fig3, compute) must match byte for byte.
-`compute --oracle` and `validate` run the Lifshitz engine, whose BLAS
-matrix-vector sums may differ in the last bit between machines, so they
-compare as parsed JSON: strings and bools equal, numbers to rel 1e-8 (one
-unit in the 9th printed digit).
+`compute --oracle` and `validate` run the Lifshitz engine. Its sums do
+not go through BLAS, so they do not depend on the CPU kernel OpenBLAS picks
+(CI runs this file under OPENBLAS_CORETYPE=Prescott too), but numpy's and
+libm's last bits may differ between builds, so they compare as parsed JSON:
+strings and bools equal, numbers to rel 1e-8 (one unit in the 9th printed
+digit).
 
 After an intended output change, rewrite the files with
     PYTHONPATH=src python tests/test_golden.py

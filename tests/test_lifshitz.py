@@ -260,9 +260,10 @@ class TestEulerMaclaurinClose:
         assert loose == pytest.approx(tight, rel=1e-12, abs=0)
 
     def test_loose_tail_at_room_temperature_unchanged(self):
-        # the value before ln L was clamped; blocks of 2 orders in place of 1
+        # the value before ln L was clamped (blocks of 2 orders in place of 1),
+        # with the einsum node sums
         got = plate_pressure(0.5e-6, 300.0, AU, matsubara=MatsubaraSpec(0.6))
-        assert repr(got) == "-0.011316384607214834"
+        assert repr(got) == "-0.011316384607214833"
 
 
 class TestProximityForce:

@@ -16,6 +16,7 @@ from casimir_delta.quantities import (
 )
 from casimir_delta.dielectric import Plasma
 from casimir_delta.lifshitz import (
+    ParallelPlates,
     SpherePlate,
     plate_pressure,
     sphere_plate_force_pfa,
@@ -31,6 +32,7 @@ from casimir_delta.scenarios import (
     TemperaturePair,
     delta_force_plates,
     delta_force_sphere,
+    sweep_separation,
     sweep_temperature,
 )
 
@@ -114,6 +116,9 @@ class TestQuantityConstructors:
             lambda a: delta_force_sphere(a, TemperaturePair(300.0, 350.0), 1e-3, 136e-9),
         "derived_scales": lambda a: derived_scales(a, 136e-9, 300.0),
         "classify_validity": lambda a: classify_validity(a, 300.0, 350.0, 136e-9),
+        "sweep_separation (grid start)": lambda a: sweep_separation(
+            TemperaturePair(300.0, 350.0), 136e-9, ParallelPlates(), grid=SweepSpec(a, 2e-6, 3)),
+        "sweep_temperature": lambda a: sweep_temperature(a, 136e-9),
     }
     TAKE_TEMPERATURE = {
         "positive": lambda T: positive("temperature", T),
@@ -125,6 +130,8 @@ class TestQuantityConstructors:
         "classify_validity (T2)": lambda T: classify_validity(1e-6, 300.0, T, 136e-9),
         "TemperaturePair (T1)": lambda T: TemperaturePair(T, 350.0),
         "TemperaturePair (T2)": lambda T: TemperaturePair(300.0, T),
+        "sweep_temperature (grid start, T1)":
+            lambda T: sweep_temperature(1e-6, 136e-9, grid=SweepSpec(T, 350.0, 3)),
     }
 
     @staticmethod
@@ -144,7 +151,7 @@ class TestQuantityConstructors:
         "delta_force_sphere":
             lambda R: delta_force_sphere(1e-6, TemperaturePair(300.0, 350.0), R, 136e-9),
         "sweep_temperature":
-            lambda R: sweep_temperature(1e-6, 300.0, 136e-9, R, SweepSpec(300.0, 350.0, 3, "linear")),
+            lambda R: sweep_temperature(1e-6, 136e-9, R, SweepSpec(300.0, 350.0, 3)),
         "sphere_plate_force_pfa": lambda R: sphere_plate_force_pfa(1e-6, 300.0, R, Plasma(136e-9)),
         "te_zero_frequency_sphere_term":
             lambda R: te_zero_frequency_sphere_term(1e-6, 300.0, R, 136e-9),

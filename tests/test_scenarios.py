@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -105,51 +106,60 @@ class TestDeltaForceSphere:
 
 class TestSweepSeparation:
     def test_plates_magnitude_decreasing_real_constant_ideal(self):
-        grid = SweepSpec(0.15e-6, 2e-6, 20, "log")
+        grid = SweepSpec(0.15e-6, 2e-6, 20)
         table = sweep_separation(PAIR, AU_LP, ParallelPlates(), grid=grid)
-        real = [abs(r[1]) for r in table.rows]
-        ideal = [r[2] for r in table.rows]
-        assert all(x > y for x, y in zip(real, real[1:]))
-        assert len(set(ideal)) == 1
+        real = np.abs(table.values[:, 1])
+        ideal = table.values[:, 2]
+        assert np.all(real[:-1] > real[1:])
+        assert len(set(ideal.tolist())) == 1
 
     def test_sphere_ideal_column_also_decreasing(self):
-        grid = SweepSpec(0.15e-6, 2e-6, 20, "log")
+        grid = SweepSpec(0.15e-6, 2e-6, 20)
         table = sweep_separation(PAIR, AU_LP, SpherePlate(1e-3), grid=grid)
-        ideal = [abs(r[2]) for r in table.rows]
-        assert all(x > y for x, y in zip(ideal, ideal[1:]))
+        ideal = np.abs(table.values[:, 2])
+        assert np.all(ideal[:-1] > ideal[1:])
 
     def test_sphere_per_radius_independent_of_R(self):
-        grid = SweepSpec(0.3e-6, 1e-6, 5, "log")
+        grid = SweepSpec(0.3e-6, 1e-6, 5)
         t1 = sweep_separation(PAIR, AU_LP, SpherePlate(1e-3), grid=grid)
         t2 = sweep_separation(PAIR, AU_LP, SpherePlate(2e-3), grid=grid)
-        assert t1.rows == t2.rows
+        assert t1.values.tobytes() == t2.values.tobytes()
 
     def test_default_grid_75_points(self):
         table = sweep_separation(PAIR, AU_LP, ParallelPlates())
-        assert len(table.rows) == 75
-        assert table.rows[0][0] == pytest.approx(0.15e-6)
-        assert table.rows[-1][0] == pytest.approx(2e-6)
+        assert table.values.shape == (75, 3)
+        assert table.values[0, 0] == pytest.approx(0.15e-6)
+        assert table.values[-1, 0] == pytest.approx(2e-6)
+
+    @pytest.mark.parametrize("points", [1, 5])
+    @pytest.mark.parametrize("start", [0.0, -1e-6])
+    def test_non_positive_start_rejected(self, start, points):
+        for geometry in (ParallelPlates(), SpherePlate(1e-3)):
+            with pytest.raises(ValueError, match="separation must be positive"):
+                sweep_separation(PAIR, AU_LP, geometry, grid=SweepSpec(start, 2e-6, points))
 
 
 class TestSweepTemperature:
     def test_endpoint_zero_and_columns(self):
-        table = sweep_temperature(0.5e-6, 300.0, AU_LP)
-        assert len(table.rows) == 51
-        first = table.rows[0]
+        table = sweep_temperature(0.5e-6, AU_LP)
+        assert table.values.shape == (51, 4)
+        first = table.values[0]
         assert first[0] == 300.0
         assert first[1] == first[2] == first[3] == 0.0
 
     def test_modified_te_changes_fastest(self):
-        table = sweep_temperature(0.5e-6, 300.0, AU_LP)
-        for (t2a, pa, ma, _), (t2b, pb, mb, _) in zip(table.rows, table.rows[1:]):
-            assert abs(mb - ma) > abs(pb - pa)
+        _, plasma, mod_te, _ = sweep_temperature(0.5e-6, AU_LP).values.T
+        assert np.all(np.abs(np.diff(mod_te)) > np.abs(np.diff(plasma)))
 
     def test_ideal_practically_coincides_with_plasma(self):
-        table = sweep_temperature(0.5e-6, 300.0, AU_LP)
-        for t2, plasma, mod, ideal in table.rows[1:]:
-            gap_ideal = abs(ideal - plasma)
-            gap_mod = abs(mod - plasma)
-            assert gap_ideal < 0.1 * gap_mod
+        _, plasma, mod_te, ideal = sweep_temperature(0.5e-6, AU_LP).values[1:].T
+        assert np.all(np.abs(ideal - plasma) < 0.1 * np.abs(mod_te - plasma))
+
+    @pytest.mark.parametrize("points", [1, 5])
+    @pytest.mark.parametrize("start", [0.0, -300.0])
+    def test_non_positive_start_rejected(self, start, points):
+        with pytest.raises(ValueError, match="temperature must be positive"):
+            sweep_temperature(0.5e-6, AU_LP, grid=SweepSpec(start, 350.0, points))
 
 
 class TestSweepSpec:
@@ -162,25 +172,37 @@ class TestSweepSpec:
             SweepSpec(2e-6, 1e-6, 5)
 
     def test_single_point_grid(self):
-        assert list(SweepSpec(1e-6, 1e-6, 1).values()) == [1e-6]
-
-    def test_spacing_validation(self):
-        with pytest.raises(ValueError):
-            SweepSpec(1e-6, 2e-6, 5, "cubic")
-        with pytest.raises(ValueError):
-            SweepSpec(0.0, 2e-6, 5, "log")
+        # a one-point grid is [start]; its stop, any finite value, is unused
+        for stop in (1e-6, 5.0, 0.0, -5.0):
+            grid = SweepSpec(1e-6, stop, 1)
+            assert grid.stop == grid.start == 1e-6
+            table = sweep_separation(PAIR, AU_LP, ParallelPlates(), grid=grid)
+            assert table.values[:, 0].tolist() == [1e-6]
+        table = sweep_temperature(0.5e-6, AU_LP, grid=SweepSpec(300.0, 200.0, 1))
+        assert table.values[:, 0].tolist() == [300.0]
 
     @pytest.mark.parametrize("start,stop", [
         (1e-6, math.inf), (math.nan, 2e-6), (-math.inf, 2e-6), (1e-6, math.nan),
     ])
     def test_non_finite_end_rejected(self, start, stop):
-        with pytest.raises(ValueError, match="must be finite"):
-            SweepSpec(start, stop, 5, "linear")
+        for points in (1, 5):  # a one-point grid's unused stop too
+            with pytest.raises(ValueError, match="must be finite"):
+                SweepSpec(start, stop, points)
 
     def test_defaults(self):
-        assert DEFAULT_SEPARATION_GRID.points == 75
-        assert DEFAULT_TEMPERATURE_GRID.points == 51
-        assert DEFAULT_TEMPERATURE_GRID.spacing == "linear"
+        assert DEFAULT_SEPARATION_GRID == SweepSpec(0.15e-6, 2e-6, 75)
+        assert DEFAULT_TEMPERATURE_GRID == SweepSpec(300.0, 350.0, 51)
+
+    @pytest.mark.parametrize("points", [1, 2, 75, 500])
+    def test_grid_column_is_numpys_grid(self, points):
+        # bit for bit: geometric over separation, linear over T2
+        a = np.geomspace(0.15e-6, 2e-6, points)
+        for geometry in (ParallelPlates(), SpherePlate(1e-3)):
+            table = sweep_separation(PAIR, AU_LP, geometry, grid=SweepSpec(0.15e-6, 2e-6, points))
+            assert table.values[:, 0].tobytes() == a.tobytes()
+        T2 = np.linspace(300.0, 350.0, points)
+        table = sweep_temperature(0.5e-6, AU_LP, grid=SweepSpec(300.0, 350.0, points))
+        assert table.values[:, 0].tobytes() == T2.tobytes()
 
 
 class TestSweepEqualsScalar:
@@ -192,27 +214,24 @@ class TestSweepEqualsScalar:
         start=st.floats(min_value=0.05e-6, max_value=2e-6),
         ratio=st.floats(min_value=1.0001, max_value=40.0),
         points=st.integers(min_value=1, max_value=30),
-        spacing=st.sampled_from(["log", "linear"]),
         t1=st.floats(min_value=1.0, max_value=400.0),
         t2=st.floats(min_value=1.0, max_value=400.0),
         lam=st.sampled_from([0.0, AU_LP]) | st.floats(min_value=1e-9, max_value=500e-9),
         R=st.floats(min_value=1e-4, max_value=1e-2),
     )
     # at 0.473 um CPython's a ** 2 (libm pow) is not the exact square a * a
-    @example(start=0.473e-6, ratio=2.0, points=1, spacing="log", t1=300.0, t2=350.0,
-             lam=AU_LP, R=1e-3)
-    @example(start=0.15e-6, ratio=2.0, points=5, spacing="linear", t1=320.0, t2=320.0,
-             lam=AU_LP, R=1e-3)
-    def test_separation_sweep(self, start, ratio, points, spacing, t1, t2, lam, R):
-        grid = SweepSpec(start, start * ratio, points, spacing)
+    @example(start=0.473e-6, ratio=2.0, points=1, t1=300.0, t2=350.0, lam=AU_LP, R=1e-3)
+    @example(start=0.15e-6, ratio=2.0, points=5, t1=320.0, t2=320.0, lam=AU_LP, R=1e-3)
+    def test_separation_sweep(self, start, ratio, points, t1, t2, lam, R):
+        grid = SweepSpec(start, start * ratio, points)
         pair = TemperaturePair(t1, t2)
         table = sweep_separation(pair, lam, ParallelPlates(), grid=grid)
-        for a, real, ideal in table.rows:
+        for a, real, ideal in table.values.tolist():
             assert repr(real) == repr(delta_force_plates(a, pair, lam))
             assert repr(ideal) == repr(delta_force_plates(a, pair, 0.0))
         for approach in (PLASMA, MOD_TE):
             table = sweep_separation(pair, lam, SpherePlate(R), approach, grid)
-            for a, real, ideal in table.rows:
+            for a, real, ideal in table.values.tolist():
                 for value, lam_ in ((real, lam), (ideal, 0.0)):
                     scalar = delta_force_sphere(a, pair, R, lam_, approach) / R
                     assert repr(value) == repr(scalar)
@@ -223,14 +242,13 @@ class TestSweepEqualsScalar:
         t1=st.floats(min_value=1.0, max_value=400.0),
         rise=st.floats(min_value=0.001, max_value=100.0),
         points=st.integers(min_value=1, max_value=30),
-        spacing=st.sampled_from(["log", "linear"]),
         lam=st.sampled_from([0.0, AU_LP]) | st.floats(min_value=1e-9, max_value=500e-9),
         R=st.floats(min_value=1e-4, max_value=1e-2),
     )
-    @example(a=0.473e-6, t1=300.0, rise=50.0, points=51, spacing="linear", lam=AU_LP, R=1e-3)
-    def test_temperature_sweep(self, a, t1, rise, points, spacing, lam, R):
-        table = sweep_temperature(a, t1, lam, R, SweepSpec(t1, t1 + rise, points, spacing))
-        for T2, plasma, mod_te, ideal in table.rows:
+    @example(a=0.473e-6, t1=300.0, rise=50.0, points=51, lam=AU_LP, R=1e-3)
+    def test_temperature_sweep(self, a, t1, rise, points, lam, R):
+        table = sweep_temperature(a, lam, R, SweepSpec(t1, t1 + rise, points))
+        for T2, plasma, mod_te, ideal in table.values.tolist():
             pair = TemperaturePair(t1, T2)
             for value, lam_, approach in ((plasma, lam, PLASMA), (mod_te, lam, MOD_TE),
                                           (ideal, 0.0, PLASMA)):
