@@ -10,10 +10,8 @@ Euler-Maclaurin formula, whose integral over the continuous order runs on
 the same exp-sinh rule; every sum thus ends. This is the independent oracle
 every closed-form perturbative expression is checked against, so its default
 tolerances are set far below the acceptance bands (1e-9 vs 0.5-5%). The
-zero-frequency TE sphere term keeps scipy's adaptive quadrature, as a
-cross-check of the engine's n = 0 TE term; it is the only code that loads
-scipy, on its first call, so importing this module (or any other of the
-package) and every CLI command but `validate` need numpy alone.
+zero-frequency TE sphere term cross-checks the engine's n = 0 TE term on an
+independent fixed Gauss-Legendre rule, to the same quadrature tolerance.
 """
 
 from __future__ import annotations
@@ -29,13 +27,6 @@ from .dielectric import ApproachVariant, MetalModel, Plasma, fresnel_coefficient
 from .quantities import CODATA2018, finite, positive
 
 _log = logging.getLogger(__name__)
-
-
-def quad(func, a, b, **options):
-    # scipy.integrate takes ~0.8 s to import and only the n = 0 TE cross-check needs it
-    from scipy.integrate import quad
-
-    return quad(func, a, b, **options)
 
 
 class QuadratureError(RuntimeError):
@@ -69,13 +60,11 @@ class QuadratureSpec:
     """Control for the semi-infinite transverse-wavevector integrals.
 
     The integration variable is the dimensionless y = 2*a*q; the integrand
-    decays like exp(-y). relative_tolerance bounds, for each Matsubara order,
-    the change of the exp-sinh sum when its step is halved, relative to the
-    order's integral; the finer sum is kept, and its own error is far smaller
-    because the rule converges double-exponentially. An order also passes
-    when the change is at most ABSOLUTE_FLOOR. For the zero-frequency TE
-    term the two are scipy quad's epsrel and epsabs; that term is the only
-    user of scipy, which it imports on its first call.
+    decays like exp(-y). relative_tolerance bounds, for each Matsubara order
+    and for the zero-frequency TE term, the change of the sum when the rule's
+    step is halved, relative to the integral; the finer sum is kept. Either
+    also passes when the change is at most ABSOLUTE_FLOOR. The orders' exp-sinh
+    rule converges double-exponentially, so its own error is far smaller.
     """
 
     relative_tolerance: float = 1e-9
@@ -374,6 +363,28 @@ def sphere_plate_force_pfa(
     return 2.0 * math.pi * R * energy
 
 
+def _gauss_legendre(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 10-point rule on each panel between successive edges."""
+    x, w = np.polynomial.legendre.leggauss(10)
+    half = 0.5 * np.diff(edges)[:, None]
+    return (edges[:-1, None] + half * (1.0 + x)).ravel(), (half * w).ravel()
+
+
+# Gauss-Legendre (Abramowitz & Stegun 25.4.29) on the dyadic panels [0, 2^-20],
+# [2^-20, 2^-19], ..., [32, 64] and on each one halved, whose edges these are:
+# they resolve the zero-frequency TE integrand's y ln y at 0 and its y e^-y
+# decay, and past y = 64 it is below 1e-26 of its integral.
+_TE0_EDGES = np.interp(np.arange(55) / 2, np.arange(28), np.r_[0, 2.0 ** np.arange(-20, 7)])
+_TE0_RULES = (_gauss_legendre(_TE0_EDGES[::2]), _gauss_legendre(_TE0_EDGES))
+
+
+def quad(f: Callable[[np.ndarray], np.ndarray]) -> tuple[float, float]:
+    """Int_0^64 f(y) dy on the halved panels, and its change from the rule on
+    the whole panels. The sums are einsum, as in _order_integrals."""
+    coarse, fine = (float(np.einsum("i,i->", f(y), w)) for y, w in _TE0_RULES)
+    return fine, abs(fine - coarse)
+
+
 def te_zero_frequency_sphere_term(
     a: float,
     T: float,
@@ -383,33 +394,23 @@ def te_zero_frequency_sphere_term(
 ) -> float:
     """Zero-frequency TE contribution to the sphere-plate force, N.
 
-    (k_B*T*R)/(8*a^2) * Int_0^inf y dy ln[1 - r(y)^2 exp(-y)] with
-    r(y) = (y - sqrt(w^2 + y^2))/(y + sqrt(w^2 + y^2)) and the dimensionless
-    plasma frequency w = 2*a*omega_p/c. Negative (attractive); vanishing
-    lambda_p recovers -k_B*T*zeta(3)*R/(8*a^2).
+    (k_B*T*R)/(8*a^2) * Int_0^inf y dy ln[1 - r_TE(y)^2 exp(-y)], with r_TE
+    from fresnel_coefficients at zero frequency and L = 2a, on quad's rule.
+    Negative (attractive); vanishing lambda_p recovers -k_B*T*zeta(3)*R/(8*a^2).
     """
     a_m = positive("separation", a)
     T_k = positive("temperature", T)
     R = positive("sphere radius", R)
-    w = 2.0 * a_m * Plasma(lambda_p).plasma_frequency() / CODATA2018.c
+    model = Plasma(lambda_p)
 
-    def f(y: float) -> float:
-        root = math.sqrt(w * w + y * y)
-        r = (y - root) / (y + root)
-        return y * math.log1p(-r * r * math.exp(-y))
+    def term() -> float:
+        integral, change = quad(lambda y: y * np.log1p(
+            -fresnel_coefficients(model, 0.0, y, 2.0 * a_m)[1] ** 2 * np.exp(-y)))
+        # a NaN fails both tests and is left to finite
+        if change > quadrature.relative_tolerance * abs(integral) and change > ABSOLUTE_FLOOR:
+            raise QuadratureError(f"zero-frequency TE term: not converged (value={integral:.6e}, "
+                                  f"change on halving the panels={change:.2e})")
+        return CODATA2018.k_B * T_k * R / (8.0 * a_m * a_m) * integral
 
-    out = quad(
-        f,
-        0.0,
-        math.inf,
-        epsabs=ABSOLUTE_FLOOR,
-        epsrel=quadrature.relative_tolerance,
-        limit=200,
-        full_output=1,
-    )
-    if len(out) > 3:
-        raise QuadratureError(
-            f"zero-frequency TE term: {out[3]} (value={out[0]:.6e}, abserr={out[1]:.2e})"
-        )
-    integral = out[0]
-    return CODATA2018.k_B * T_k * R / (8.0 * a_m * a_m) * integral
+    inputs = {"separation": a_m, "temperature": T_k, "sphere radius": R, "plasma wavelength": lambda_p}
+    return finite("zero-frequency TE term", inputs, term)

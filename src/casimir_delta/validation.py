@@ -262,8 +262,7 @@ CHECKS = [
 
 def run_acceptance_checks() -> list[CheckResult]:
     """Run every row of CHECKS, in order, each measure called with no
-    argument. Takes about 20 ms in-process, plus about 0.8 s for the first
-    import of scipy, which the te0 rows load."""
+    argument. Takes about 20 ms in-process."""
     results = []
     for check_id, measure, band, detail in CHECKS:
         x = measure()

@@ -692,29 +692,26 @@ def test_parser_reuse_leaks_no_state_between_calls(capsys, tmp_path):
     assert build_parser() is build_parser()
 
 
-# Every command but validate runs on numpy alone; scipy arrives with the
-# first zero-frequency TE cross-check.
+# Every command, validate included, and the zero-frequency TE cross-check run
+# on numpy alone; scipy is only a reference in the tests.
 COLD_START = """
 import json, sys
 from casimir_delta import cli, lifshitz
 runs = [["fig1"], ["fig2"], ["fig3"], ["compute", "--geometry", "plates"], ["compute"],
         ["compute", "--geometry", "plates", "--oracle"], ["compute", "--oracle"],
-        ["compute", "--approach", "modified-te", "--oracle"]]
+        ["compute", "--approach", "modified-te", "--oracle"], ["validate"]]
 codes = [cli.main(argv + ["--output", sys.argv[1]]) for argv in runs]
-scipy_before = "scipy" in sys.modules
 te0 = lifshitz.te_zero_frequency_sphere_term(0.5e-6, 300.0, 1e-3, 136e-9)
-print(json.dumps({"codes": codes, "scipy_before": scipy_before,
-                  "scipy_after": "scipy" in sys.modules, "te0": te0}))
+print(json.dumps({"codes": codes, "scipy": "scipy" in sys.modules, "te0": te0}))
 """
 
 
-def test_cold_start_loads_scipy_only_for_the_te_cross_check(tmp_path):
+def test_cold_start_never_loads_scipy(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path / "out")],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert result["codes"] == [0] * 8
-    assert not result["scipy_before"]
-    assert result["scipy_after"]
+    assert result["codes"] == [0] * 9
+    assert not result["scipy"]
     assert math.isfinite(result["te0"]) and result["te0"] < 0.0

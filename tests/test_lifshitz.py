@@ -314,6 +314,45 @@ class TestZeroFrequencyTeTerm:
         gaps = [rel_gap(a) for a in (0.25e-6, 0.5e-6, 1.0e-6)]
         assert gaps[0] > gaps[1] > gaps[2]
 
+    @pytest.mark.parametrize("lambda_p", [1e-12, 100e-9, 136e-9, 500e-9])
+    def test_matches_adaptive_quadrature(self, lambda_p):
+        # scipy's QUADPACK on the textbook r = (y - k)/(y + k), a reference
+        # independent of both the Gauss-Legendre rule and the Fresnel kernel
+        from scipy.integrate import quad
+
+        T, R = 300.0, 1e-3
+        for a in np.linspace(0.15e-6, 5e-6, 60):
+            w = 2.0 * a * Plasma(lambda_p).plasma_frequency() / CODATA2018.c
+
+            def f(y):
+                k = math.sqrt(w * w + y * y)
+                return y * math.log1p(-((y - k) / (y + k)) ** 2 * math.exp(-y))
+
+            integral = quad(f, 0.0, math.inf, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+            ref = CODATA2018.k_B * T * R / (8.0 * a * a) * integral
+            got = te_zero_frequency_sphere_term(a, T, R, lambda_p)
+            assert got == pytest.approx(ref, rel=1e-13, abs=0), a
+
+    def test_tolerance_below_the_rule_change_raises(self):
+        # the rule changes by about 2.7e-15 of the integral on halving its panels
+        a, T, R = 0.5e-6, 300.0, 1e-3
+        value = te_zero_frequency_sphere_term(a, T, R, 136e-9)
+        assert te_zero_frequency_sphere_term(a, T, R, 136e-9, QuadratureSpec(1e-13)) == value
+        with pytest.raises(lifshitz.QuadratureError, match="zero-frequency TE term"):
+            te_zero_frequency_sphere_term(a, T, R, 136e-9, QuadratureSpec(1e-15))
+
+    @pytest.mark.parametrize("lambda_p", [1e-169, 1e-300])
+    def test_overflowing_kernel_names_the_inputs(self, lambda_p):
+        # the Fresnel kernel's (2a omega_p / c)^2 overflows in Python's float **
+        with pytest.raises(ValueError, match=(
+                rf"^separation 5e-07 m, temperature 300.0 K, sphere radius 0.001 m, "
+                rf"plasma wavelength {lambda_p!r} m give a non-finite zero-frequency TE term$")):
+            te_zero_frequency_sphere_term(0.5e-6, 300.0, 1e-3, lambda_p)
+
+    def test_largest_finite_kernel_still_evaluates(self):
+        got = te_zero_frequency_sphere_term(0.5e-6, 300.0, 1e-3, 1e-159)
+        assert got == pytest.approx(-2.4894279919e-12, rel=1e-10, abs=0)
+
 
 class TestEngineInternals:
     def test_reflectivity_matches_dielectric_module(self):
