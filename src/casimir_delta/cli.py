@@ -283,9 +283,11 @@ def cmd_compute(args: argparse.Namespace) -> int:
     if args.geometry == "plates":
         f1, f2 = (plate_force_perturbative(a, T, lam) for T in (pair.T1, pair.T2))
         diff = delta_force_plates(a, pair, lam)
+        engine = lambda T, *specs: plate_pressure(a, T, *specs)
     else:
         f1, f2 = (sphere_force_perturbative(a, T, R, lam, approach) for T in (pair.T1, pair.T2))
         diff = delta_force_sphere(a, pair, R, lam, approach)
+        engine = lambda T, *specs: sphere_plate_force_pfa(a, T, R, *specs)
 
     record = {
         "config": _resolved_config(
@@ -303,12 +305,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
     if args.oracle:
         model = IdealMetal() if lam == 0.0 else Plasma(lam)
-        if args.geometry == "plates":
-            o1 = plate_pressure(a, pair.T1, model, approach, matsubara, quadrature)
-            o2 = plate_pressure(a, pair.T2, model, approach, matsubara, quadrature)
-        else:
-            o1 = sphere_plate_force_pfa(a, pair.T1, R, model, approach, matsubara, quadrature)
-            o2 = sphere_plate_force_pfa(a, pair.T2, R, model, approach, matsubara, quadrature)
+        o1, o2 = (engine(T, model, approach, matsubara, quadrature) for T in (pair.T1, pair.T2))
         engine_diff = o2 - o1
         record["oracle"] = {
             "tail_tolerance": matsubara.relative_tail_tolerance,

@@ -12,6 +12,8 @@ every closed-form perturbative expression is checked against, so its default
 tolerances are set far below the acceptance bands (1e-9 vs 0.5-5%). The
 zero-frequency TE sphere term cross-checks the engine's n = 0 TE term on an
 independent fixed Gauss-Legendre rule, to the same quadrature tolerance.
+Each public function runs its whole force, prefactor included, through one
+check: a force that is not finite is a ValueError that names the inputs.
 """
 
 from __future__ import annotations
@@ -183,7 +185,7 @@ def _matsubara_sum(
     integrand: Callable[[np.ndarray, tuple[np.ndarray, np.ndarray]], np.ndarray],
     label: str,
 ) -> float:
-    """Sum' over n of Int_{y_n}^inf integrand(y, (r_TM^2, r_TE^2)) dy.
+    """Sum' over n of Int_{y_n}^inf integrand(y, (r_TM^2, r_TE^2)) dy, unchecked.
 
     Orders are taken in blocks, all nodes of a block in one array. The sum
     stops at the first n > 0 whose term is at most the tail tolerance times
@@ -192,20 +194,7 @@ def _matsubara_sum(
     the rest with the Euler-Maclaurin formula; any other sum that has not
     stopped by _CLOSE_AFTER orders is closed there. Order 0, with its 1/2
     weight and the modified-TE zero, is always in the explicit head.
-
-    A sum that is not finite, as where the plasma kernel overflows, is a
-    ValueError that names the separation, the temperature and the plasma
-    wavelength (quantities.finite).
     """
-    inputs = {"separation": a, "temperature": T}
-    if isinstance(model, Plasma):
-        inputs["plasma wavelength"] = model.lambda_p
-    return finite(label, inputs, _unchecked_sum, a, T, model, approach, matsubara,
-                  quadrature, integrand, label)
-
-
-def _unchecked_sum(a, T, model, approach, matsubara, quadrature, integrand, label):
-    """_matsubara_sum's sum, unchecked."""
     # y_n = 2*a*xi_n/c is the lower integration limit of order n and also the
     # decay scale distinguishing successive terms.
     y1 = 4.0 * math.pi * a * CODATA2018.k_B * T / (CODATA2018.hbar * CODATA2018.c)
@@ -305,6 +294,19 @@ def _free_energy_integrand(y: np.ndarray, rsq: tuple[np.ndarray, np.ndarray]) ->
     return y * total
 
 
+def _checked(what: str, force: Callable[..., float], a: float, T: float, R: float | None,
+             lambda_p: float | None) -> float:
+    """force(a, T, R) inside one quantities.finite naming a, T, R and lambda_p
+    where not None, once positive has checked a, T and R in that order."""
+    a, T = positive("separation", a), positive("temperature", T)
+    inputs = {"separation": a, "temperature": T}
+    if R is not None:
+        inputs["sphere radius"] = R = positive("sphere radius", R)
+    if lambda_p is not None:
+        inputs["plasma wavelength"] = lambda_p
+    return finite(what, inputs, force, a, T, R)
+
+
 def plate_free_energy_per_area(
     a: float,
     T: float,
@@ -314,12 +316,9 @@ def plate_free_energy_per_area(
     quadrature: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> float:
     """Matsubara free energy per unit area, J/m^2 (negative for attraction)."""
-    a_m = positive("separation", a)
-    T_k = positive("temperature", T)
-    pref = CODATA2018.k_B * T_k / (8.0 * math.pi * a_m * a_m)
-    return pref * _matsubara_sum(
-        a_m, T_k, model, approach, matsubara, quadrature, _free_energy_integrand, "free energy"
-    )
+    return _checked("free energy", lambda a, T, R: CODATA2018.k_B * T / (8.0 * math.pi * a * a) * (
+        _matsubara_sum(a, T, model, approach, matsubara, quadrature, _free_energy_integrand,
+                       "free energy")), a, T, None, getattr(model, "lambda_p", None))
 
 
 def plate_pressure(
@@ -336,12 +335,9 @@ def plate_pressure(
     derivative of the free energy; the thermodynamic-identity test covers
     consistency between the two.
     """
-    a_m = positive("separation", a)
-    T_k = positive("temperature", T)
-    pref = -CODATA2018.k_B * T_k / (8.0 * math.pi * a_m ** 3)
-    return pref * _matsubara_sum(
-        a_m, T_k, model, approach, matsubara, quadrature, _pressure_integrand, "pressure"
-    )
+    return _checked("pressure", lambda a, T, R: -CODATA2018.k_B * T / (8.0 * math.pi * a ** 3) * (
+        _matsubara_sum(a, T, model, approach, matsubara, quadrature, _pressure_integrand,
+                       "pressure")), a, T, None, getattr(model, "lambda_p", None))
 
 
 def sphere_plate_force_pfa(
@@ -358,22 +354,31 @@ def sphere_plate_force_pfa(
     Exactly 2*pi*R times the plate free energy per area; the mapping itself
     carries a relative error of order a/R, negligible for mm-scale spheres.
     """
-    R = positive("sphere radius", R)
-    energy = plate_free_energy_per_area(a, T, model, approach, matsubara, quadrature)
-    return 2.0 * math.pi * R * energy
+    return _checked("sphere-plate force", lambda a, T, R: 2.0 * math.pi * R * (
+        CODATA2018.k_B * T / (8.0 * math.pi * a * a) * _matsubara_sum(
+            a, T, model, approach, matsubara, quadrature, _free_energy_integrand, "free energy")
+    ), a, T, R, getattr(model, "lambda_p", None))
+
+
+# The 10-point Gauss-Legendre rule on [-1, 1] (Abramowitz & Stegun 25.4.29): the positive
+# half of numpy.polynomial.legendre.leggauss(10), bit for bit; its other half is the mirror
+_GL_X = np.array([0.14887433898163122, 0.4333953941292472, 0.6794095682990244,
+                  0.8650633666889845, 0.9739065285171717])
+_GL_W = np.array([0.2955242247147528, 0.2692667193099965, 0.219086362515982,
+                  0.1494513491505804, 0.06667134430868814])
 
 
 def _gauss_legendre(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the 10-point rule on each panel between successive edges."""
-    x, w = np.polynomial.legendre.leggauss(10)
+    x, w = np.r_[-_GL_X[::-1], _GL_X], np.r_[_GL_W[::-1], _GL_W]
     half = 0.5 * np.diff(edges)[:, None]
     return (edges[:-1, None] + half * (1.0 + x)).ravel(), (half * w).ravel()
 
 
-# Gauss-Legendre (Abramowitz & Stegun 25.4.29) on the dyadic panels [0, 2^-20],
-# [2^-20, 2^-19], ..., [32, 64] and on each one halved, whose edges these are:
-# they resolve the zero-frequency TE integrand's y ln y at 0 and its y e^-y
-# decay, and past y = 64 it is below 1e-26 of its integral.
+# The rule on the dyadic panels [0, 2^-20], [2^-20, 2^-19], ..., [32, 64] and
+# on each one halved, whose edges these are: they resolve the zero-frequency TE
+# integrand's y ln y at 0 and its y e^-y decay, and past y = 64 it is below
+# 1e-26 of its integral.
 _TE0_EDGES = np.interp(np.arange(55) / 2, np.arange(28), np.r_[0, 2.0 ** np.arange(-20, 7)])
 _TE0_RULES = (_gauss_legendre(_TE0_EDGES[::2]), _gauss_legendre(_TE0_EDGES))
 
@@ -398,19 +403,14 @@ def te_zero_frequency_sphere_term(
     from fresnel_coefficients at zero frequency and L = 2a, on quad's rule.
     Negative (attractive); vanishing lambda_p recovers -k_B*T*zeta(3)*R/(8*a^2).
     """
-    a_m = positive("separation", a)
-    T_k = positive("temperature", T)
-    R = positive("sphere radius", R)
-    model = Plasma(lambda_p)
-
-    def term() -> float:
+    def term(a: float, T: float, R: float) -> float:
+        model = Plasma(lambda_p)  # checks lambda_p after a, T and R
         integral, change = quad(lambda y: y * np.log1p(
-            -fresnel_coefficients(model, 0.0, y, 2.0 * a_m)[1] ** 2 * np.exp(-y)))
+            -fresnel_coefficients(model, 0.0, y, 2.0 * a)[1] ** 2 * np.exp(-y)))
         # a NaN fails both tests and is left to finite
         if change > quadrature.relative_tolerance * abs(integral) and change > ABSOLUTE_FLOOR:
             raise QuadratureError(f"zero-frequency TE term: not converged (value={integral:.6e}, "
                                   f"change on halving the panels={change:.2e})")
-        return CODATA2018.k_B * T_k * R / (8.0 * a_m * a_m) * integral
+        return CODATA2018.k_B * T * R / (8.0 * a * a) * integral
 
-    inputs = {"separation": a_m, "temperature": T_k, "sphere radius": R, "plasma wavelength": lambda_p}
-    return finite("zero-frequency TE term", inputs, term)
+    return _checked("zero-frequency TE term", term, a, T, R, lambda_p)

@@ -89,7 +89,7 @@ def derived_scales(a: float, lambda_p: float, T: float | None = None, R: float |
 def finite(what: str, inputs: dict, evaluate, *args, grid=None):
     """evaluate(*args), run with numpy's floating-point warnings off, once
     every value it returns is found finite: the one check of the closed
-    forms' results, scalar and swept, and of the engine's sums. A value
+    forms' results, scalar and swept, and of the engine's forces. A value
     that is not finite, or an ArithmeticError on the way (a Python
     OverflowError or ZeroDivisionError, or the engine's FloatingPointError
     for an order integral that is not finite), is a ValueError

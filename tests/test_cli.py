@@ -1,5 +1,6 @@
 import collections
 import contextlib
+import functools
 import io
 import json
 import math
@@ -13,8 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from casimir_delta import cli, scenarios, validation
+from casimir_delta import cli, lifshitz, scenarios, validation
 from casimir_delta.cli import build_parser, main
+from casimir_delta.dielectric import ApproachVariant, IdealMetal, Plasma
 from casimir_delta.perturbative import OMITTED_REMAINDER_NOTE
 from casimir_delta.scenarios import SweepTable
 
@@ -453,12 +455,13 @@ class TestNonFiniteGrid:
         (("compute", "--geometry", "plates", "--radius-mm", "nan"),
          "argument --radius-mm: sphere radius must be finite, got nan"),
         # the engine's plasma kernel overflows: in Python's float ** at 1e-160 nm,
-        # in numpy's products at 1e-150 nm
+        # in numpy's products at 1e-150 nm; the sphere's line names its radius
         *((("compute", "--oracle", "--geometry", geometry, "--lambda-p-nm", nm),
-           f"separation 5e-07 m, temperature 300.0 K, plasma wavelength {lam} m "
-           f"give a non-finite {sum_}")
+           f"separation 5e-07 m, temperature 300.0 K, {radius}plasma wavelength {lam} m "
+           f"give a non-finite {force}")
           for nm, lam in (("1e-160", "1e-169"), ("1e-150", "1.0000000000000001e-159"))
-          for geometry, sum_ in (("plates", "pressure"), ("sphere", "free energy"))),
+          for geometry, radius, force in (("plates", "", "pressure"),
+                                          ("sphere", "sphere radius 0.002 m, ", "sphere-plate force"))),
     ])
     def test_one_error_line(self, capsys, argv, message):
         # a numpy RuntimeWarning from building the grid would raise here
@@ -540,6 +543,33 @@ def test_no_traceback_anywhere_in_the_float_range(a, t1, t2, lam, radius):
         else:
             assert (rc, out.getvalue()) == (1, "")
             assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=ANY_POSITIVE, T=ANY_POSITIVE, R=ANY_POSITIVE, lam=ANY_POSITIVE)
+@example(a=1e-105, T=300.0, R=1e-3, lam=136e-9)  # an infinite ideal-metal pressure
+@example(a=1e-110, T=300.0, R=1e-3, lam=136e-9)  # a**3 underflows to 0
+@example(a=1e120, T=300.0, R=1e-3, lam=136e-9)  # a**3 overflows
+@example(a=1e-160, T=300.0, R=1e-3, lam=136e-9)  # an infinite ideal-metal free energy
+@example(a=0.5e-6, T=300.0, R=1e308, lam=136e-9)  # 2 pi R times the free energy overflows
+def test_engine_force_finite_or_value_error_anywhere_in_the_float_range(a, T, R, lam):
+    # inputs in m and K: each engine function, for both metals and both
+    # prescriptions, returns a finite float or raises ValueError, or
+    # QuadratureError where its rule cannot meet the tolerance
+    calls = [functools.partial(lifshitz.te_zero_frequency_sphere_term, a, T, R, lam)]
+    for model in (IdealMetal(), Plasma(lam)):
+        for approach in ApproachVariant:
+            calls += [functools.partial(lifshitz.plate_pressure, a, T, model, approach),
+                      functools.partial(lifshitz.plate_free_energy_per_area, a, T, model, approach),
+                      functools.partial(lifshitz.sphere_plate_force_pfa, a, T, R, model, approach)]
+    for call in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                value = call()
+            except (ValueError, lifshitz.QuadratureError):
+                continue
+        assert type(value) is float and math.isfinite(value)
 
 
 def _figure_call_counts(counts, tmp_path, points, *flags):
@@ -693,7 +723,8 @@ def test_parser_reuse_leaks_no_state_between_calls(capsys, tmp_path):
 
 
 # Every command, validate included, and the zero-frequency TE cross-check run
-# on numpy alone; scipy is only a reference in the tests.
+# on numpy alone; scipy is only a reference in the tests. The TE term's rule is
+# written out, so numpy.polynomial is not loaded either.
 COLD_START = """
 import json, sys
 from casimir_delta import cli, lifshitz
@@ -702,7 +733,8 @@ runs = [["fig1"], ["fig2"], ["fig3"], ["compute", "--geometry", "plates"], ["com
         ["compute", "--approach", "modified-te", "--oracle"], ["validate"]]
 codes = [cli.main(argv + ["--output", sys.argv[1]]) for argv in runs]
 te0 = lifshitz.te_zero_frequency_sphere_term(0.5e-6, 300.0, 1e-3, 136e-9)
-print(json.dumps({"codes": codes, "scipy": "scipy" in sys.modules, "te0": te0}))
+print(json.dumps({"codes": codes, "scipy": "scipy" in sys.modules,
+                  "polynomial": "numpy.polynomial" in sys.modules, "te0": te0}))
 """
 
 
@@ -714,4 +746,5 @@ def test_cold_start_never_loads_scipy(tmp_path):
     result = json.loads(proc.stdout)
     assert result["codes"] == [0] * 9
     assert not result["scipy"]
+    assert not result["polynomial"]
     assert math.isfinite(result["te0"]) and result["te0"] < 0.0

@@ -333,6 +333,15 @@ class TestZeroFrequencyTeTerm:
             got = te_zero_frequency_sphere_term(a, T, R, lambda_p)
             assert got == pytest.approx(ref, rel=1e-13, abs=0), a
 
+    def test_rule_literals_are_leggauss_to_the_last_bit(self):
+        # the module writes the 10-point rule as literals, so that importing it
+        # does not load numpy.polynomial; leggauss stays the reference
+        x, w = np.polynomial.legendre.leggauss(10)
+        assert lifshitz._GL_X.tobytes() == x[5:].tobytes()
+        assert lifshitz._GL_W.tobytes() == w[5:].tobytes()
+        # the module mirrors them: leggauss's negative half is their exact mirror
+        assert x[:5].tobytes() == (-x[:4:-1]).tobytes() and w[:5].tobytes() == w[:4:-1].tobytes()
+
     def test_tolerance_below_the_rule_change_raises(self):
         # the rule changes by about 2.7e-15 of the integral on halving its panels
         a, T, R = 0.5e-6, 300.0, 1e-3
@@ -392,6 +401,26 @@ class TestSpecValidation:
     def test_bad_specs_rejected(self, make):
         with pytest.raises(ValueError):
             make()
+
+    @pytest.mark.parametrize("call,message", [
+        # the prefactor's a**3 gives -inf, underflows to 0 and overflows; the
+        # free energy's a*a gives -inf; 2 pi R times the free energy overflows
+        (lambda: plate_pressure(1e-105, 300.0, IdealMetal()),
+         "separation 1e-105 m, temperature 300.0 K give a non-finite pressure"),
+        (lambda: plate_pressure(1e-110, 300.0, IdealMetal()),
+         "separation 1e-110 m, temperature 300.0 K give a non-finite pressure"),
+        (lambda: plate_pressure(1e120, 300.0, IdealMetal()),
+         "separation 1e+120 m, temperature 300.0 K give a non-finite pressure"),
+        (lambda: plate_free_energy_per_area(1e-160, 300.0, IdealMetal()),
+         "separation 1e-160 m, temperature 300.0 K give a non-finite free energy"),
+        (lambda: sphere_plate_force_pfa(0.5e-6, 300.0, 1e308, AU),
+         "separation 5e-07 m, temperature 300.0 K, sphere radius 1e+308 m, "
+         "plasma wavelength 1.36e-07 m give a non-finite sphere-plate force"),
+    ])
+    def test_non_finite_force_names_the_inputs(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
 
     def test_domain_errors_propagate(self):
         with pytest.raises(ValueError):

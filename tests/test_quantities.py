@@ -18,6 +18,7 @@ from casimir_delta.dielectric import Plasma
 from casimir_delta.lifshitz import (
     ParallelPlates,
     SpherePlate,
+    plate_free_energy_per_area,
     plate_pressure,
     sphere_plate_force_pfa,
     te_zero_frequency_sphere_term,
@@ -109,6 +110,8 @@ class TestQuantityConstructors:
     TAKE_SEPARATION = {
         "positive": lambda a: positive("separation", a),
         "plate_pressure": lambda a: plate_pressure(a, 300.0, Plasma(136e-9)),
+        "plate_free_energy_per_area": lambda a: plate_free_energy_per_area(a, 300.0, Plasma(136e-9)),
+        "sphere_plate_force_pfa": lambda a: sphere_plate_force_pfa(a, 300.0, 1e-3, Plasma(136e-9)),
         "plate_force_perturbative": lambda a: plate_force_perturbative(a, 300.0, 136e-9),
         "sphere_force_perturbative": lambda a: sphere_force_perturbative(a, 300.0, 1e-3, 136e-9),
         "delta_force_plates": lambda a: delta_force_plates(a, TemperaturePair(300.0, 350.0), 136e-9),
@@ -123,6 +126,8 @@ class TestQuantityConstructors:
     TAKE_TEMPERATURE = {
         "positive": lambda T: positive("temperature", T),
         "plate_pressure": lambda T: plate_pressure(1e-6, T, Plasma(136e-9)),
+        "plate_free_energy_per_area": lambda T: plate_free_energy_per_area(1e-6, T, Plasma(136e-9)),
+        "sphere_plate_force_pfa": lambda T: sphere_plate_force_pfa(1e-6, T, 1e-3, Plasma(136e-9)),
         "plate_force_perturbative": lambda T: plate_force_perturbative(1e-6, T, 136e-9),
         "te_zero_frequency_asymptotic": lambda T: te_zero_frequency_asymptotic(1e-6, T, 1e-3, 136e-9),
         "derived_scales": lambda T: derived_scales(1e-6, 136e-9, T),
