@@ -59,9 +59,12 @@ def fresnel_coefficients(
     """Fresnel coefficients (r_TM, r_TE) on the imaginary axis, array-valued.
 
     The variables are dimensionless in units of a length L (the engine uses
-    L = 2a): u = L*xi/c and y = L*q with q = sqrt(k_perp^2 + xi^2/c^2) >= xi/c;
-    u and y broadcast against each other. With w = L*omega_p/c the wave number
-    in the metal is L*k = sqrt(y^2 + w^2) at every frequency, including 0, and
+    L = 2a): u = L*xi/c and y = L*q with q = sqrt(k_perp^2 + xi^2/c^2) >= xi/c.
+    y, a float or a float array, sets the plasma coefficients' shape and u
+    broadcasts into it (the engine passes an (orders x 1) u with an
+    (orders x nodes) y); they are computed in arrays of their own, never in
+    u or y, and are floats for float u and y. With w = L*omega_p/c the wave
+    number in the metal is L*k = sqrt(y^2 + w^2) at every frequency, including 0, and
     eps(i*xi) = 1 + w^2/u^2. Both coefficients are written without the
     cancellations of (q - k)/(q + k) and (eps*q - k)/(eps*q + k):
     r_TE = -w^2/p^2 and r_TM = w^2 (y - u^2/p)/(u^2 p + w^2 y), p = y + L*k,
@@ -71,11 +74,22 @@ def fresnel_coefficients(
     if isinstance(model, IdealMetal):
         r_tm, r_te = 1.0, -1.0
     else:
+        # the augmented assignments write numpy arrays in place and rebind
+        # Python floats, so one body serves both; **= 0.5 runs as sqrt
         w2 = (length * model.plasma_frequency() / CODATA2018.c) ** 2
-        p = y + (y * y + w2) ** 0.5  # not np.sqrt: Python floats stay floats
         u2 = u * u
-        r_te = -w2 / (p * p)
-        r_tm = w2 * (y - u2 / p) / (u2 * p + w2 * y)
+        p = y * y
+        p += w2
+        p **= 0.5
+        p += y
+        r_tm = -u2 / p
+        r_tm += y
+        r_tm *= w2
+        den = w2 * y
+        den += u2 * p
+        r_tm /= den
+        p *= p
+        r_te = -w2 / p
     if approach is ApproachVariant.MODIFIED_TE:
         r_te = np.where(u == 0.0, 0.0, r_te)
     return r_tm, r_te

@@ -212,7 +212,9 @@ def _matsubara_sum(
     def grid(lower: np.ndarray, s: np.ndarray) -> np.ndarray:
         y = lower + s
         r_tm, r_te = fresnel_coefficients(model, lower, y, 2.0 * a, approach)
-        return integrand(y, (r_tm * r_tm, r_te * r_te))
+        r_tm *= r_tm  # squared in place; the ideal metal's floats rebind
+        r_te *= r_te
+        return integrand(y, (r_tm, r_te))
 
     def orders(u: np.ndarray) -> np.ndarray:
         """The order integral at each lower limit in u, _MAX_BLOCK limits per array."""
@@ -266,12 +268,23 @@ def _pressure_integrand(y: np.ndarray, rsq: tuple[np.ndarray, np.ndarray]) -> np
     """y^2 sum_p r_p^2 e^-y / (1 - r_p^2 e^-y).
 
     1 - r^2 e^-y is taken as (1 - r^2) + r^2 (1 - e^-y), a sum of
-    non-negative parts, so it stays accurate as y -> 0 with r^2 -> 1."""
-    e = np.exp(-y)
-    one_minus_e = -np.expm1(-y)
-    tm2, te2 = rsq
-    return y * y * (tm2 * e / ((1.0 - tm2) + tm2 * one_minus_e)
-                    + te2 * e / ((1.0 - te2) + te2 * one_minus_e))
+    non-negative parts, so it stays accurate as y -> 0 with r^2 -> 1. The
+    block is built in place in four arrays of y's shape; r^2 broadcasts."""
+    e = -y
+    em1 = np.expm1(e)  # -(1 - e^-y), so den -= r^2 em1 adds r^2 (1 - e^-y)
+    np.exp(e, out=e)
+    total, den = np.empty_like(y), np.empty_like(y)
+    # the second polarization's part goes into em1, which it reads last
+    for r2, part in zip(rsq, (total, em1)):
+        np.subtract(1.0, r2, out=den)
+        np.multiply(r2, em1, out=part)
+        den -= part
+        np.multiply(r2, e, out=part)
+        part /= den
+    total += em1
+    np.multiply(y, y, out=den)
+    total *= den
+    return total
 
 
 def _free_energy_integrand(y: np.ndarray, rsq: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -279,19 +292,28 @@ def _free_energy_integrand(y: np.ndarray, rsq: tuple[np.ndarray, np.ndarray]) ->
 
     log1p(-x) keeps small x = r^2 e^-y exact; where x > 1/2 the logarithm is
     taken of (1 - r^2) + r^2 (1 - e^-y) instead, which stays finite and
-    accurate at nodes where e^-y rounds to 1."""
-    e = np.exp(-y)
-    one_minus_e = -np.expm1(-y)
-    logs = np.empty_like(y)
-    total = 0.0
+    accurate at nodes where e^-y rounds to 1. With r^2 <= 1 that needs
+    y < ln 2, so only the first rows of a cold head: a block without such a
+    node skips 1 - e^-y and runs log1p unmasked. The block is built in place
+    in arrays of y's shape; r^2 broadcasts."""
+    e = -y
+    np.exp(e, out=e)
+    one_minus_e = None
+    total, logs = np.zeros_like(y), np.empty_like(y)
     for r2 in rsq:
-        x = r2 * e
-        near_one = x > 0.5
-        np.log1p(-x, out=logs, where=~near_one)
-        if near_one.any():
+        np.multiply(r2, e, out=logs)
+        near_one = logs > 0.5
+        np.negative(logs, out=logs)
+        if not near_one.any():
+            np.log1p(logs, out=logs)
+        else:
+            if one_minus_e is None:
+                one_minus_e = -np.expm1(-y)
+            np.log1p(logs, out=logs, where=~near_one)
             np.log((1.0 - r2) + r2 * one_minus_e, out=logs, where=near_one)
-        total = total + logs
-    return y * total
+        total += logs
+    total *= y
+    return total
 
 
 def _checked(what: str, force: Callable[..., float], a: float, T: float, R: float | None,

@@ -265,6 +265,13 @@ class TestEulerMaclaurinClose:
         got = plate_pressure(0.5e-6, 300.0, AU, matsubara=MatsubaraSpec(0.6))
         assert repr(got) == "-0.011316384607214833"
 
+    def test_cold_sum_through_the_close_unchanged(self):
+        # 1/y1 = 73: the 64-order head and the Euler-Maclaurin close, on
+        # blocks computed in place; a pressure, since free energies move in
+        # their last digit when numpy's AVX-512 loops are off
+        got = plate_pressure(0.5e-6, 5.0, AU, matsubara=MatsubaraSpec(1e-8))
+        assert repr(got) == "-0.016804175646201538"
+
 
 class TestProximityForce:
     def test_two_pi_r_identity(self):
@@ -384,6 +391,126 @@ class TestEngineInternals:
         y1 = 4.0 * math.pi * a * CODATA2018.k_B * T / (CODATA2018.hbar * CODATA2018.c)  # 2 a xi_1/c
         r_tm, r_te = fresnel_coefficients(AU, y1, 3.0, 2.0 * a, MOD_TE)
         assert r_te ** 2 > 0.0
+
+
+def textbook_fresnel(model, u, y, length, approach=PLASMA):
+    """fresnel_coefficients as whole-array expressions, one temporary per operation."""
+    if isinstance(model, IdealMetal):
+        r_tm, r_te = 1.0, -1.0
+    else:
+        w2 = (length * model.plasma_frequency() / CODATA2018.c) ** 2
+        p = y + (y * y + w2) ** 0.5
+        u2 = u * u
+        r_te = -w2 / (p * p)
+        r_tm = w2 * (y - u2 / p) / (u2 * p + w2 * y)
+    if approach is MOD_TE:
+        r_te = np.where(u == 0.0, 0.0, r_te)
+    return r_tm, r_te
+
+
+def textbook_pressure(y, rsq):
+    e = np.exp(-y)
+    one_minus_e = -np.expm1(-y)
+    tm2, te2 = rsq
+    return y * y * (tm2 * e / ((1.0 - tm2) + tm2 * one_minus_e)
+                    + te2 * e / ((1.0 - te2) + te2 * one_minus_e))
+
+
+def textbook_free_energy(y, rsq):
+    e = np.exp(-y)
+    one_minus_e = -np.expm1(-y)
+    logs = np.empty_like(y)
+    total = 0.0
+    for r2 in rsq:
+        x = r2 * e
+        near_one = x > 0.5
+        np.log1p(-x, out=logs, where=~near_one)
+        if near_one.any():
+            np.log((1.0 - r2) + r2 * one_minus_e, out=logs, where=near_one)
+        total = total + logs
+    return y * total
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestInPlaceBlocks:
+    """The engine builds each (orders x nodes) block in place; it must equal
+    the textbook expressions above bit for bit and leave its arguments alone."""
+
+    # lower limits n*y1 for a cold y1 (1/y1 = 1000, as at 0.15 um and 1.2 K:
+    # all 64 rows below y = ln 2, where the free energy takes its near-one
+    # branch), for a room one (0.5 um at 290 K: only row 0 there), and the
+    # room orders from y = 700 on, where e^-y underflows to 0 and logs are -0
+    LOWER = {
+        "cold": np.arange(64.0)[:, None] * 1e-3,
+        "room": np.arange(64.0)[:, None] * 0.8,
+        "far": 700.0 + np.arange(64.0)[:, None] * 0.8,
+    }
+    NODES = {"first": lifshitz._NODES[0][1], "finest": lifshitz._NODES[-1][1]}
+    A = 0.3e-6
+
+    @pytest.fixture(params=["cold", "room", "far"])
+    def lower(self, request):
+        return self.LOWER[request.param]
+
+    @pytest.fixture(params=["first", "finest"])
+    def block(self, request, lower):
+        return lower, lower + self.NODES[request.param]
+
+    @pytest.mark.parametrize("model", [AU, Plasma(1e-6), IdealMetal()], ids=repr)
+    @pytest.mark.parametrize("approach", [PLASMA, MOD_TE])
+    def test_fresnel_coefficients(self, block, model, approach):
+        u, y = block
+        u0, y0 = u.copy(), y.copy()
+        got = fresnel_coefficients(model, u, y, 2.0 * self.A, approach)
+        for g, w in zip(got, textbook_fresnel(model, u, y, 2.0 * self.A, approach)):
+            assert_same_bits(g, w)
+        assert_same_bits(u, u0)
+        assert_same_bits(y, y0)
+
+    def test_fresnel_coefficients_of_floats_are_floats(self):
+        for u, y in [(0.0, 0.5), (0.4, 1.3), (2.0, 2.0)]:
+            got = fresnel_coefficients(AU, u, y, 2.0 * self.A)
+            assert [type(r) for r in got] == [float, float]
+            assert got == textbook_fresnel(AU, u, y, 2.0 * self.A)
+
+    def reflectivities(self, u, y):
+        """r^2 pairs as the engine passes them: plasma arrays (with the
+        modified-TE zero row too), the ideal metal's floats, and its
+        modified-TE (rows x 1) column with a zero in row 0."""
+        cases = []
+        for model in (AU, IdealMetal()):
+            for approach in (PLASMA, MOD_TE):
+                r_tm, r_te = textbook_fresnel(model, u, y, 2.0 * self.A, approach)
+                cases.append((r_tm * r_tm, r_te * r_te))
+        return cases
+
+    @pytest.mark.parametrize("integrand,textbook", [
+        (lifshitz._pressure_integrand, textbook_pressure),
+        (lifshitz._free_energy_integrand, textbook_free_energy),
+    ], ids=["pressure", "free-energy"])
+    def test_integrands(self, block, integrand, textbook):
+        u, y = block
+        shapes = []
+        for rsq in self.reflectivities(u, y):
+            shapes.append([np.shape(r2) for r2 in rsq])
+            kept = [np.copy(r2) for r2 in (y, *rsq)]
+            assert_same_bits(integrand(y, rsq), textbook(y, rsq))
+            for arg, before in zip((y, *rsq), kept):
+                assert_same_bits(arg, before)
+        assert shapes[2:] == [[(), ()], [(), (64, 1)]]
+
+    def test_cold_block_takes_the_near_one_branch(self):
+        # every cold row meets r_TM^2 e^-y > 1/2 at its inner nodes, none at all
+        u = self.LOWER["cold"]
+        y = u + self.NODES["first"]
+        near = np.exp(-y) * textbook_fresnel(AU, u, y, 2.0 * self.A)[0] ** 2 > 0.5
+        assert near.any(axis=1).all() and not near.all()
 
 
 class TestSpecValidation:
