@@ -134,20 +134,25 @@ def _order_integrals(
     u: np.ndarray,
     quadrature: QuadratureSpec,
     label: str,
+    values: np.ndarray | None = None,
 ) -> np.ndarray:
     """Int_0^inf g(u_i + s) ds for each lower limit u_i (a column).
 
-    grid(lower, s) evaluates g on the (orders x nodes) array. Each order's
-    sum at step h is checked against the nested sum at 2h; the orders that
-    disagree by more than the quadrature tolerance get the next level's
-    nodes, and QuadratureError is raised past the finest level; a value that
-    is not finite never converges, and is a FloatingPointError there.
+    grid(lower, s) evaluates g on the (orders x nodes) array. values, if
+    given, is grid(u, s) at the first level's nodes, computed by the caller
+    (the cold close shares that pass with other limits); grid then runs only
+    for the finer levels. Each order's sum at step h is checked against the
+    nested sum at 2h; the orders that disagree by more than the quadrature
+    tolerance get the next level's nodes, and QuadratureError is raised past
+    the finest level; a value that is not finite never converges, and is a
+    FloatingPointError there.
     """
     # the sums over nodes are einsum, not @: a BLAS dgemv rounds differently
     # on each CPU kernel OpenBLAS picks, and the engine's values must not
     # depend on the machine
     h, s, w = _NODES[0]
-    values = grid(u, s)
+    if values is None:
+        values = grid(u, s)
     total = np.einsum("ij,j->i", values, w)
     result = h * total
     coarse = 2.0 * h * np.einsum("ij,j->i", values[:, ::2], w[::2])
@@ -206,8 +211,12 @@ def _matsubara_sum(
     # (L < 1) cannot make the estimate negative and the blocks one order long
     span = math.log(1.0 / tail)
     estimate = (span + 2.0 * max(0.0, math.log(span))) / y1
-    block = max(1, min(_MAX_BLOCK, math.ceil(estimate) + 1))
+    stop = math.ceil(estimate) + 1
+    block = min(_MAX_BLOCK, stop)
     head = _MAX_BLOCK if estimate > _CLOSE_AFTER else _CLOSE_AFTER
+    # blocks of `block` orders, save that the one that would pass `stop`
+    # ends there: a sum that stops by the estimate evaluates no order past it
+    bounds = [*range(0, min(stop, head), block), *range(stop, head, block), head]
 
     def grid(lower: np.ndarray, s: np.ndarray) -> np.ndarray:
         y = lower + s
@@ -217,15 +226,17 @@ def _matsubara_sum(
         return integrand(y, (r_tm, r_te))
 
     def orders(u: np.ndarray) -> np.ndarray:
-        """The order integral at each lower limit in u, _MAX_BLOCK limits per array."""
+        """The order integral at each lower limit in u, in near-equal blocks of
+        at most _MAX_BLOCK limits (119 limits run as 59 + 60, not 64 + 55)."""
+        count = -(-u.size // _MAX_BLOCK)
+        cuts = [u.size * i // count for i in range(count + 1)]
         return np.concatenate([
-            _order_integrals(grid, u[i:i + _MAX_BLOCK, None], quadrature, label)
-            for i in range(0, u.size, _MAX_BLOCK)
+            _order_integrals(grid, u[i:j, None], quadrature, label) for i, j in zip(cuts, cuts[1:])
         ])
 
     total, last = 0.0, np.empty(0)
-    for start in range(0, head, block):
-        n = np.arange(start, min(start + block, head))
+    for start, end in zip(bounds, bounds[1:]):
+        n = np.arange(start, end)
         terms = orders(n * y1)
         if start == 0:
             terms[0] *= 0.5
@@ -242,19 +253,28 @@ def _matsubara_sum(
     # Euler-Maclaurin (Abramowitz & Stegun 23.1.30) for f(x) = F(x y1), F the
     # order integral at a continuous lower limit: sum_{n>=N} f(n) =
     # (1/y1) Int_{N y1}^inf F(u) du + f(N)/2 - f'(N)/12 + f'''(N)/720, the
-    # derivatives by central differences over orders N-2..N+2
-    f = np.concatenate((last, orders(np.arange(head, head + 3) * y1))).tolist()
+    # derivatives by central differences over orders N-2..N+2. One orders()
+    # pass evaluates f(N), f(N+1), f(N+2) and F at the outer rule's
+    # first-level limits edge + s, edge = N y1. The rule's smallest s (from
+    # 2e-31 up) lie below half an ulp of the edge, so the first dozen or so
+    # limits round to the edge itself: they take f(N) and are not passed.
+    edge = head * y1
+    limits = edge + _NODES[0][1]
+    same = int(np.searchsorted(limits, edge, side="right"))
+    first = orders(np.concatenate((np.arange(head, head + 3) * y1, limits[same:])))
+    f = np.concatenate((last, first[:3])).tolist()
     d1 = (f[0] - 8.0 * f[1] + 8.0 * f[3] - f[4]) / 12.0
     d3 = (-f[0] + 2.0 * f[1] - 2.0 * f[3] + f[4]) / 2.0
-    nodes = 0
+    nodes = limits.size
 
     def outer(lower: np.ndarray, s: np.ndarray) -> np.ndarray:
         nonlocal nodes
         nodes += s.size
         return orders((lower + s).ravel())[None, :]
 
-    edge = np.array([[head * y1]])
-    integral = float(_order_integrals(outer, edge, quadrature, f"{label} tail")[0])
+    values = np.concatenate((np.full(same, first[0]), first[3:]))[None, :]
+    integral = float(_order_integrals(outer, np.array([[edge]]), quadrature, f"{label} tail",
+                                      values)[0])
     last_correction = d3 / 720.0
     total += integral / y1 + f[2] / 2.0 - d1 / 12.0 + last_correction
     _log.debug(
@@ -262,6 +282,13 @@ def _matsubara_sum(
         "correction %.2e of the sum", label, head, nodes, abs(last_correction / total),
     )
     return total
+
+
+def _polarizations(rsq: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, ...]:
+    """rsq, or its first r^2 alone when both are one float (the ideal metal's
+    1.0 under the plasma prescription; its modified-TE r_TE^2 is a column):
+    the integrand adds that one part to itself, the same bits as p + p."""
+    return rsq[:1] if isinstance(rsq[1], float) and rsq[0] == rsq[1] else rsq
 
 
 def _pressure_integrand(y: np.ndarray, rsq: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -274,14 +301,15 @@ def _pressure_integrand(y: np.ndarray, rsq: tuple[np.ndarray, np.ndarray]) -> np
     em1 = np.expm1(e)  # -(1 - e^-y), so den -= r^2 em1 adds r^2 (1 - e^-y)
     np.exp(e, out=e)
     total, den = np.empty_like(y), np.empty_like(y)
+    parts = _polarizations(rsq)
     # the second polarization's part goes into em1, which it reads last
-    for r2, part in zip(rsq, (total, em1)):
+    for r2, part in zip(parts, (total, em1)):
         np.subtract(1.0, r2, out=den)
         np.multiply(r2, em1, out=part)
         den -= part
         np.multiply(r2, e, out=part)
         part /= den
-    total += em1
+    total += em1 if len(parts) == 2 else total
     np.multiply(y, y, out=den)
     total *= den
     return total
@@ -300,7 +328,8 @@ def _free_energy_integrand(y: np.ndarray, rsq: tuple[np.ndarray, np.ndarray]) ->
     np.exp(e, out=e)
     one_minus_e = None
     total, logs = np.zeros_like(y), np.empty_like(y)
-    for r2 in rsq:
+    parts = _polarizations(rsq)
+    for r2 in parts:
         np.multiply(r2, e, out=logs)
         near_one = logs > 0.5
         np.negative(logs, out=logs)
@@ -312,6 +341,8 @@ def _free_energy_integrand(y: np.ndarray, rsq: tuple[np.ndarray, np.ndarray]) ->
             np.log1p(logs, out=logs, where=~near_one)
             np.log((1.0 - r2) + r2 * one_minus_e, out=logs, where=near_one)
         total += logs
+    if len(parts) == 1:
+        total += total
     total *= y
     return total
 

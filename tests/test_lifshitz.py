@@ -272,6 +272,59 @@ class TestEulerMaclaurinClose:
         got = plate_pressure(0.5e-6, 5.0, AU, matsubara=MatsubaraSpec(1e-8))
         assert repr(got) == "-0.016804175646201538"
 
+    @pytest.mark.parametrize("call,expected", [
+        # 1/y1 = 100: the edge 64 y1 lies below ln 2, so few outer limits round to it
+        (lambda: plate_pressure(0.3e-6, temperature_at(0.3e-6, 100.0), IdealMetal(), MOD_TE,
+                                MatsubaraSpec(1e-8)), "-0.16036079966651232"),
+        (lambda: plate_pressure(1e-6, 2.0, AU, matsubara=MatsubaraSpec(1e-8)),
+         "-0.0011635755095562212"),
+        # the ideal metal's equal reflectivities, one polarization added to itself
+        (lambda: plate_pressure(0.5e-6, 5.0, IdealMetal(), matsubara=MatsubaraSpec(1e-8)),
+         "-0.020802012359321696"),
+        # a room sum over several head blocks
+        (lambda: plate_pressure(0.15e-6, 300.0, AU, matsubara=MatsubaraSpec(1e-11)),
+         "-1.4095744758808917"),
+    ], ids=["ideal-modified-te-low-edge", "gold-2K", "ideal-5K", "gold-room-blocks"])
+    def test_sum_unchanged(self, call, expected):
+        # values from before the close shared its first orders() pass with
+        # the outer rule; the same with numpy's AVX-512 loops off
+        assert repr(call()) == expected
+
+    @staticmethod
+    def first_level_passes(monkeypatch):
+        """The lower limits of each fresnel_coefficients call on the first level's nodes."""
+        passes = []
+
+        def counting(model, u, y, *args):
+            if y.shape[-1] == lifshitz._NODES[0][1].size:
+                passes.append(np.ravel(u).tolist())
+            return fresnel_coefficients(model, u, y, *args)
+
+        monkeypatch.setattr(lifshitz, "fresnel_coefficients", counting)
+        return passes
+
+    def test_cold_sum_makes_three_first_level_passes(self, monkeypatch):
+        # the 64-order head, then orders N..N+2 and the outer rule's distinct
+        # first-level limits together, in two near-equal blocks; the limits
+        # that round to the edge reuse order N's integral
+        passes = self.first_level_passes(monkeypatch)
+        plate_pressure(0.15e-6, 1.0, AU)
+        limits = [x for p in passes for x in p]
+        assert len(passes) == 3 and max(map(len, passes)) <= 64
+        assert len(set(limits)) == len(limits)
+
+    @pytest.mark.parametrize("inv_y1", [3.0, 6.0])
+    def test_head_stops_at_the_estimate(self, monkeypatch, inv_y1):
+        # estimates of 80.4 and 160.7 orders, which these sums stop by: the
+        # block that would pass ceil(estimate) + 1 ends there (128 and 192
+        # orders in whole 64-order blocks)
+        passes = self.first_level_passes(monkeypatch)
+        span = math.log(1.0 / MatsubaraSpec().relative_tail_tolerance)
+        estimate = (span + 2.0 * math.log(span)) * inv_y1
+        plate_pressure(1e-6, temperature_at(1e-6, inv_y1), AU)
+        assert 64 < estimate < 256
+        assert sum(map(len, passes)) <= math.ceil(estimate) + 1
+
 
 class TestProximityForce:
     def test_two_pi_r_identity(self):
