@@ -1,6 +1,6 @@
 """Metal models, the zero-frequency prescriptions and the two polarization
 reflection coefficients on the imaginary frequency axis that feed the
-Lifshitz engine."""
+Lifshitz engine, which applies the prescription: the coefficients know none."""
 
 from __future__ import annotations
 
@@ -8,8 +8,6 @@ import enum
 import math
 from dataclasses import dataclass
 from typing import Union
-
-import numpy as np
 
 from .quantities import CODATA2018
 
@@ -42,20 +40,15 @@ class ApproachVariant(enum.Enum):
 
     PLASMA_ZERO_FREQUENCY extends the plasma-model reflection coefficients to
     every order including n = 0. MODIFIED_TE zeroes the transverse-electric
-    coefficient at n = 0 only; all nonzero orders are identical.
+    coefficient at n = 0 only; all nonzero orders are identical. The engine
+    applies it, as a zero in its n = 0 TE row; fresnel_coefficients takes none.
     """
 
     PLASMA_ZERO_FREQUENCY = "plasma"
     MODIFIED_TE = "modified-te"
 
 
-def fresnel_coefficients(
-    model: MetalModel,
-    u,
-    y,
-    length: float,
-    approach: ApproachVariant = ApproachVariant.PLASMA_ZERO_FREQUENCY,
-):
+def fresnel_coefficients(model: MetalModel, u, y, length: float):
     """Fresnel coefficients (r_TM, r_TE) on the imaginary axis, array-valued.
 
     The variables are dimensionless in units of a length L (the engine uses
@@ -68,8 +61,8 @@ def fresnel_coefficients(
     eps(i*xi) = 1 + w^2/u^2. Both coefficients are written without the
     cancellations of (q - k)/(q + k) and (eps*q - k)/(eps*q + k):
     r_TE = -w^2/p^2 and r_TM = w^2 (y - u^2/p)/(u^2 p + w^2 y), p = y + L*k,
-    so r_TM is exactly 1 at u = 0. IdealMetal gives (1, -1). MODIFIED_TE
-    sets r_TE to 0 where u = 0.
+    so r_TM is exactly 1 at u = 0. IdealMetal gives (1, -1), under either
+    prescription: the engine zeroes the modified-TE n = 0 row of r_TE^2.
     """
     if isinstance(model, IdealMetal):
         r_tm, r_te = 1.0, -1.0
@@ -90,8 +83,6 @@ def fresnel_coefficients(
         r_tm /= den
         p *= p
         r_te = -w2 / p
-    if approach is ApproachVariant.MODIFIED_TE:
-        r_te = np.where(u == 0.0, 0.0, r_te)
     return r_tm, r_te
 
 

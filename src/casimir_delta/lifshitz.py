@@ -198,7 +198,8 @@ def _matsubara_sum(
     expected to stop only past _CLOSE_AFTER orders sums one block and closes
     the rest with the Euler-Maclaurin formula; any other sum that has not
     stopped by _CLOSE_AFTER orders is closed there. Order 0, with its 1/2
-    weight and the modified-TE zero, is always in the explicit head.
+    weight and the modified-TE zero, is always in the explicit head. That
+    zero is the prescription, applied here alone: r_TE^2 of row n = 0 is 0.
     """
     # y_n = 2*a*xi_n/c is the lower integration limit of order n and also the
     # decay scale distinguishing successive terms.
@@ -220,9 +221,14 @@ def _matsubara_sum(
 
     def grid(lower: np.ndarray, s: np.ndarray) -> np.ndarray:
         y = lower + s
-        r_tm, r_te = fresnel_coefficients(model, lower, y, 2.0 * a, approach)
+        r_tm, r_te = fresnel_coefficients(model, lower, y, 2.0 * a)
         r_tm *= r_tm  # squared in place; the ideal metal's floats rebind
         r_te *= r_te
+        # only a block's first row can be n = 0; written, not masked: 0 x NaN is NaN
+        if approach is ApproachVariant.MODIFIED_TE and lower[0, 0] == 0.0:
+            if isinstance(r_te, float):
+                r_te = np.full(lower.shape, r_te)  # the ideal metal's 1.0, as a column
+            r_te[0] = 0.0
         return integrand(y, (r_tm, r_te))
 
     def orders(u: np.ndarray) -> np.ndarray:
@@ -286,7 +292,7 @@ def _matsubara_sum(
 
 def _polarizations(rsq: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, ...]:
     """rsq, or its first r^2 alone when both are one float (the ideal metal's
-    1.0 under the plasma prescription; its modified-TE r_TE^2 is a column):
+    1.0, save in a modified-TE block holding n = 0, whose r_TE^2 is a column):
     the integrand adds that one part to itself, the same bits as p + p."""
     return rsq[:1] if isinstance(rsq[1], float) and rsq[0] == rsq[1] else rsq
 

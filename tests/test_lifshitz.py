@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from casimir_delta import lifshitz
 from casimir_delta.dielectric import (
@@ -167,6 +168,18 @@ class TestApproachDifference:
         direct = te_zero_frequency_sphere_term(a, T, R, 136e-9)
         assert f_plasma - f_mod == pytest.approx(direct, rel=1e-9, abs=0)
 
+    @settings(max_examples=40, deadline=None)
+    @given(a=st.floats(0.15e-6, 2e-6), T=st.floats(1.0, 350.0), lambda_p=st.floats(100e-9, 200e-9),
+           R=st.floats(0.5e-3, 5e-3))
+    def test_difference_is_the_zero_frequency_te_term(self, a, T, lambda_p, R):
+        # on a 5 x 6 x 3 grid of (a, T, lambda_p) in this box, R = 1 mm, the
+        # worst deviation was 5.4e-12 at this tail and 6.1e-9 at the default
+        model, tail = Plasma(lambda_p), MatsubaraSpec(1e-12)
+        f_plasma = sphere_plate_force_pfa(a, T, R, model, PLASMA, tail)
+        f_mod = sphere_plate_force_pfa(a, T, R, model, MOD_TE, tail)
+        direct = te_zero_frequency_sphere_term(a, T, R, lambda_p)
+        assert f_plasma - f_mod == pytest.approx(direct, rel=1e-9, abs=0)
+
     def test_ideal_metal_approaches_also_differ(self):
         e_plasma = plate_free_energy_per_area(1e-6, 300.0, IdealMetal(), PLASMA)
         e_mod = plate_free_energy_per_area(1e-6, 300.0, IdealMetal(), MOD_TE)
@@ -284,7 +297,26 @@ class TestEulerMaclaurinClose:
         # a room sum over several head blocks
         (lambda: plate_pressure(0.15e-6, 300.0, AU, matsubara=MatsubaraSpec(1e-11)),
          "-1.4095744758808917"),
-    ], ids=["ideal-modified-te-low-edge", "gold-2K", "ideal-5K", "gold-room-blocks"])
+        # the modified-TE zero row of a plasma head block, through the close
+        # and over several room head blocks
+        (lambda: plate_pressure(0.5e-6, 5.0, AU, MOD_TE, MatsubaraSpec(1e-8)),
+         "-0.016783580699914907"),
+        (lambda: plate_pressure(0.15e-6, 300.0, AU, MOD_TE, MatsubaraSpec(1e-11)),
+         "-1.381982008758552"),
+        # the same zero row under the free-energy integrand the sphere force uses
+        (lambda: plate_free_energy_per_area(0.5e-6, 5.0, AU, MOD_TE, MatsubaraSpec(1e-8)),
+         "-2.9435498941565585e-09"),
+        (lambda: sphere_plate_force_pfa(0.15e-6, 300.0, 1e-3, AU, MOD_TE, MatsubaraSpec(1e-11)),
+         "-4.896241710198179e-10"),
+        # ideal-metal modified-TE blocks past n = 0: the one-part path
+        (lambda: plate_pressure(0.5e-6, 5.0, IdealMetal(), MOD_TE, MatsubaraSpec(1e-8)),
+         "-0.0207755987079625"),
+        (lambda: plate_pressure(0.15e-6, 300.0, IdealMetal(), MOD_TE, MatsubaraSpec(1e-11)),
+         "-2.509454713679602"),
+    ], ids=["ideal-modified-te-low-edge", "gold-2K", "ideal-5K", "gold-room-blocks",
+            "gold-modified-te-5K", "gold-modified-te-room-blocks",
+            "gold-modified-te-free-energy-5K", "gold-modified-te-sphere-room-blocks",
+            "ideal-modified-te-5K", "ideal-modified-te-room-blocks"])
     def test_sum_unchanged(self, call, expected):
         # values from before the close shared its first orders() pass with
         # the outer rule; the same with numpy's AVX-512 loops off
@@ -437,16 +469,67 @@ class TestEngineInternals:
                 assert r_tm ** 2 == pytest.approx(si_tm ** 2, rel=1e-12)
                 assert r_te ** 2 == pytest.approx(si_te ** 2, rel=1e-12)
 
-    def test_modified_te_zeroes_only_n0(self):
-        a, T = 0.5e-6, 300.0
-        r_tm, r_te = fresnel_coefficients(AU, 0.0, 1.0, 2.0 * a, MOD_TE)
-        assert (r_tm ** 2, r_te ** 2) == (1.0, 0.0)
-        y1 = 4.0 * math.pi * a * CODATA2018.k_B * T / (CODATA2018.hbar * CODATA2018.c)  # 2 a xi_1/c
-        r_tm, r_te = fresnel_coefficients(AU, y1, 3.0, 2.0 * a, MOD_TE)
-        assert r_te ** 2 > 0.0
+    @staticmethod
+    def blocks(monkeypatch, call, name):
+        """(lower limits, y, r^2 pair) of every block the integrand lifshitz.<name>
+        receives in call()."""
+        lowers, blocks = [], []
+
+        def kernel(model, u, *args):
+            lowers.append(np.ravel(u).copy())
+            return fresnel_coefficients(model, u, *args)
+
+        def integrand(y, rsq):
+            blocks.append((lowers[-1], y.copy(), tuple(np.copy(r2) if np.ndim(r2) else r2
+                                                       for r2 in rsq)))
+            return original(y, rsq)
+
+        original = getattr(lifshitz, name)
+        monkeypatch.setattr(lifshitz, "fresnel_coefficients", kernel)
+        monkeypatch.setattr(lifshitz, name, integrand)
+        call()
+        monkeypatch.undo()
+        return blocks
+
+    @pytest.mark.parametrize("model", [AU, Plasma(1e-6), IdealMetal()], ids=repr)
+    @pytest.mark.parametrize("a,T,tail", [(0.5e-6, 5.0, 1e-8), (0.15e-6, 300.0, 1e-11)],
+                             ids=["close", "room-blocks"])
+    @pytest.mark.parametrize("force,name", [
+        (plate_pressure, "_pressure_integrand"),
+        (plate_free_energy_per_area, "_free_energy_integrand"),
+    ], ids=["pressure", "free-energy"])
+    def test_modified_te_zeroes_only_n0(self, monkeypatch, force, name, model, a, T, tail):
+        # the kernel knows no prescription: the engine zeroes r_TE^2 on the
+        # n = 0 row of its block; every other row, each (lower limit, nodes,
+        # polarization), is bit for bit the plasma call's; and an ideal-metal
+        # block without n = 0 arrives as the float pair (the one-part path)
+        def rows(blocks):
+            for lower, y, rsq in blocks:
+                for i, r2 in enumerate(np.broadcast_arrays(*rsq, y)[:2]):
+                    for row, u in enumerate(lower):
+                        yield (u, y[row].tobytes(), i), r2[row]
+
+        def call(approach):
+            return lambda: force(a, T, model, approach, MatsubaraSpec(tail))
+
+        plasma = dict(rows(self.blocks(monkeypatch, call(PLASMA), name)))
+        blocks = self.blocks(monkeypatch, call(MOD_TE), name)
+        zeros = 0
+        for key, r2 in rows(blocks):
+            if key[0] == 0.0 and key[2] == 1:
+                assert_same_bits(r2, np.zeros_like(r2))
+                zeros += 1
+            else:
+                assert_same_bits(r2, plasma[key])
+        assert zeros >= 1
+        if isinstance(model, IdealMetal):
+            past = [rsq for lower, y, rsq in blocks if lower[0] > 0.0]
+            assert past
+            for rsq in past:
+                assert [type(r2) for r2 in rsq] == [float, float] and rsq == (1.0, 1.0)
 
 
-def textbook_fresnel(model, u, y, length, approach=PLASMA):
+def textbook_fresnel(model, u, y, length):
     """fresnel_coefficients as whole-array expressions, one temporary per operation."""
     if isinstance(model, IdealMetal):
         r_tm, r_te = 1.0, -1.0
@@ -456,8 +539,6 @@ def textbook_fresnel(model, u, y, length, approach=PLASMA):
         u2 = u * u
         r_te = -w2 / (p * p)
         r_tm = w2 * (y - u2 / p) / (u2 * p + w2 * y)
-    if approach is MOD_TE:
-        r_te = np.where(u == 0.0, 0.0, r_te)
     return r_tm, r_te
 
 
@@ -516,12 +597,11 @@ class TestInPlaceBlocks:
         return lower, lower + self.NODES[request.param]
 
     @pytest.mark.parametrize("model", [AU, Plasma(1e-6), IdealMetal()], ids=repr)
-    @pytest.mark.parametrize("approach", [PLASMA, MOD_TE])
-    def test_fresnel_coefficients(self, block, model, approach):
+    def test_fresnel_coefficients(self, block, model):
         u, y = block
         u0, y0 = u.copy(), y.copy()
-        got = fresnel_coefficients(model, u, y, 2.0 * self.A, approach)
-        for g, w in zip(got, textbook_fresnel(model, u, y, 2.0 * self.A, approach)):
+        got = fresnel_coefficients(model, u, y, 2.0 * self.A)
+        for g, w in zip(got, textbook_fresnel(model, u, y, 2.0 * self.A)):
             assert_same_bits(g, w)
         assert_same_bits(u, u0)
         assert_same_bits(y, y0)
@@ -533,14 +613,17 @@ class TestInPlaceBlocks:
             assert got == textbook_fresnel(AU, u, y, 2.0 * self.A)
 
     def reflectivities(self, u, y):
-        """r^2 pairs as the engine passes them: plasma arrays (with the
-        modified-TE zero row too), the ideal metal's floats, and its
-        modified-TE (rows x 1) column with a zero in row 0."""
+        """r^2 pairs as the engine passes them: plasma arrays, the ideal
+        metal's floats and, in a block holding n = 0, each with the
+        modified-TE zero in row 0 of r_TE^2 (the ideal metal's as a column)."""
         cases = []
         for model in (AU, IdealMetal()):
-            for approach in (PLASMA, MOD_TE):
-                r_tm, r_te = textbook_fresnel(model, u, y, 2.0 * self.A, approach)
-                cases.append((r_tm * r_tm, r_te * r_te))
+            r_tm, r_te = textbook_fresnel(model, u, y, 2.0 * self.A)
+            cases.append((r_tm * r_tm, r_te * r_te))
+            if u[0, 0] == 0.0:
+                te2 = np.full(np.broadcast_shapes(u.shape, np.shape(r_te)), r_te * r_te)
+                te2[0] = 0.0
+                cases.append((r_tm * r_tm, te2))
         return cases
 
     @pytest.mark.parametrize("integrand,textbook", [
@@ -556,7 +639,8 @@ class TestInPlaceBlocks:
             assert_same_bits(integrand(y, rsq), textbook(y, rsq))
             for arg, before in zip((y, *rsq), kept):
                 assert_same_bits(arg, before)
-        assert shapes[2:] == [[(), ()], [(), (64, 1)]]
+        ideal = [[(), ()], [(), (64, 1)]] if u[0, 0] == 0.0 else [[(), ()]]
+        assert shapes[-len(ideal):] == ideal
 
     def test_cold_block_takes_the_near_one_branch(self):
         # every cold row meets r_TM^2 e^-y > 1/2 at its inner nodes, none at all
