@@ -86,7 +86,7 @@ def _config_flags(args: argparse.Namespace) -> list[str]:
             raise UsageError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, value = (part.strip() for part in line.partition("="))
         dest = key.replace("-", "_")
-        if dest in ("command", "config") or not hasattr(args, dest):
+        if dest in ("command", "config") or dest not in vars(args):
             raise UsageError(f"unknown config key {key!r}")
         flag = "--" + dest.replace("_", "-")
         if not isinstance(getattr(args, dest), bool):

@@ -21,11 +21,11 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
-from .dielectric import ApproachVariant, MetalModel, Plasma, fresnel_coefficients
+from .dielectric import ApproachVariant, IdealMetal, MetalModel, Plasma, fresnel_coefficients
 from .quantities import CODATA2018, finite, positive
 
 _log = logging.getLogger(__name__)
@@ -93,9 +93,6 @@ class SpherePlate:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "R", positive("sphere radius", self.R))
-
-
-Geometry = Union[ParallelPlates, SpherePlate]
 
 
 # Exp-sinh rule (Takahasi & Mori, Publ. RIMS Kyoto Univ. 9, 721 (1974)) for
@@ -177,7 +174,6 @@ def _order_integrals(
         coarse = result[rows]
         total[rows] += np.einsum("ij,j->i", grid(u[rows], s), w)
         result[rows] = h * total[rows]
-    return result
 
 
 def _matsubara_sum(
@@ -187,10 +183,10 @@ def _matsubara_sum(
     approach: ApproachVariant,
     matsubara: MatsubaraSpec,
     quadrature: QuadratureSpec,
-    integrand: Callable[[np.ndarray, tuple[np.ndarray, np.ndarray]], np.ndarray],
+    integrand: Callable[[np.ndarray, tuple[np.ndarray, ...]], np.ndarray],
     label: str,
 ) -> float:
-    """Sum' over n of Int_{y_n}^inf integrand(y, (r_TM^2, r_TE^2)) dy, unchecked.
+    """Sum' over n of Int_{y_n}^inf integrand(y, rsq) dy, unchecked.
 
     Orders are taken in blocks, all nodes of a block in one array. The sum
     stops at the first n > 0 whose term is at most the tail tolerance times
@@ -200,6 +196,7 @@ def _matsubara_sum(
     stopped by _CLOSE_AFTER orders is closed there. Order 0, with its 1/2
     weight and the modified-TE zero, is always in the explicit head. That
     zero is the prescription, applied here alone: r_TE^2 of row n = 0 is 0.
+    grid alone shapes rsq: (r_TM^2, r_TE^2), or the ideal metal's (1.0,) without that zero.
     """
     # y_n = 2*a*xi_n/c is the lower integration limit of order n and also the
     # decay scale distinguishing successive terms.
@@ -218,6 +215,7 @@ def _matsubara_sum(
     # blocks of `block` orders, save that the one that would pass `stop`
     # ends there: a sum that stops by the estimate evaluates no order past it
     bounds = [*range(0, min(stop, head), block), *range(stop, head, block), head]
+    ideal = isinstance(model, IdealMetal)
 
     def grid(lower: np.ndarray, s: np.ndarray) -> np.ndarray:
         y = lower + s
@@ -226,9 +224,11 @@ def _matsubara_sum(
         r_te *= r_te
         # only a block's first row can be n = 0; written, not masked: 0 x NaN is NaN
         if approach is ApproachVariant.MODIFIED_TE and lower[0, 0] == 0.0:
-            if isinstance(r_te, float):
+            if ideal:
                 r_te = np.full(lower.shape, r_te)  # the ideal metal's 1.0, as a column
             r_te[0] = 0.0
+        elif ideal:
+            return integrand(y, (r_tm,))  # both r^2 are 1.0: one part, added to itself
         return integrand(y, (r_tm, r_te))
 
     def orders(u: np.ndarray) -> np.ndarray:
@@ -290,15 +290,9 @@ def _matsubara_sum(
     return total
 
 
-def _polarizations(rsq: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, ...]:
-    """rsq, or its first r^2 alone when both are one float (the ideal metal's
-    1.0, save in a modified-TE block holding n = 0, whose r_TE^2 is a column):
-    the integrand adds that one part to itself, the same bits as p + p."""
-    return rsq[:1] if isinstance(rsq[1], float) and rsq[0] == rsq[1] else rsq
-
-
-def _pressure_integrand(y: np.ndarray, rsq: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """y^2 sum_p r_p^2 e^-y / (1 - r_p^2 e^-y).
+def _pressure_integrand(y: np.ndarray, rsq: tuple[np.ndarray, ...]) -> np.ndarray:
+    """y^2 sum_p r_p^2 e^-y / (1 - r_p^2 e^-y), p over rsq's one or two r^2;
+    a lone r^2 stands for both polarizations and its part is added to itself.
 
     1 - r^2 e^-y is taken as (1 - r^2) + r^2 (1 - e^-y), a sum of
     non-negative parts, so it stays accurate as y -> 0 with r^2 -> 1. The
@@ -307,22 +301,22 @@ def _pressure_integrand(y: np.ndarray, rsq: tuple[np.ndarray, np.ndarray]) -> np
     em1 = np.expm1(e)  # -(1 - e^-y), so den -= r^2 em1 adds r^2 (1 - e^-y)
     np.exp(e, out=e)
     total, den = np.empty_like(y), np.empty_like(y)
-    parts = _polarizations(rsq)
     # the second polarization's part goes into em1, which it reads last
-    for r2, part in zip(parts, (total, em1)):
+    for r2, part in zip(rsq, (total, em1)):
         np.subtract(1.0, r2, out=den)
         np.multiply(r2, em1, out=part)
         den -= part
         np.multiply(r2, e, out=part)
         part /= den
-    total += em1 if len(parts) == 2 else total
+    total += em1 if len(rsq) == 2 else total
     np.multiply(y, y, out=den)
     total *= den
     return total
 
 
-def _free_energy_integrand(y: np.ndarray, rsq: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """y sum_p ln(1 - r_p^2 e^-y).
+def _free_energy_integrand(y: np.ndarray, rsq: tuple[np.ndarray, ...]) -> np.ndarray:
+    """y sum_p ln(1 - r_p^2 e^-y), p over rsq's one or two r^2; a lone r^2
+    stands for both polarizations and its part is added to itself.
 
     log1p(-x) keeps small x = r^2 e^-y exact; where x > 1/2 the logarithm is
     taken of (1 - r^2) + r^2 (1 - e^-y) instead, which stays finite and
@@ -334,8 +328,7 @@ def _free_energy_integrand(y: np.ndarray, rsq: tuple[np.ndarray, np.ndarray]) ->
     np.exp(e, out=e)
     one_minus_e = None
     total, logs = np.zeros_like(y), np.empty_like(y)
-    parts = _polarizations(rsq)
-    for r2 in parts:
+    for r2 in rsq:
         np.multiply(r2, e, out=logs)
         near_one = logs > 0.5
         np.negative(logs, out=logs)
@@ -347,7 +340,7 @@ def _free_energy_integrand(y: np.ndarray, rsq: tuple[np.ndarray, np.ndarray]) ->
             np.log1p(logs, out=logs, where=~near_one)
             np.log((1.0 - r2) + r2 * one_minus_e, out=logs, where=near_one)
         total += logs
-    if len(parts) == 1:
+    if len(rsq) == 1:
         total += total
     total *= y
     return total

@@ -19,7 +19,7 @@ from math import pi
 import numpy as np
 
 from .dielectric import ApproachVariant
-from .lifshitz import Geometry, ParallelPlates
+from .lifshitz import ParallelPlates, SpherePlate
 from .perturbative import asymptotic_te_term
 from .quantities import (
     CODATA2018,
@@ -157,7 +157,7 @@ def _sphere_per_radius(a, T1, T2, R, delta, approach):
 def sweep_separation(
     pair: TemperaturePair,
     lambda_p: float,
-    geometry: Geometry,
+    geometry: ParallelPlates | SpherePlate,
     approach: ApproachVariant = ApproachVariant.PLASMA_ZERO_FREQUENCY,
     grid: SweepSpec = DEFAULT_SEPARATION_GRID,
 ) -> SweepTable:

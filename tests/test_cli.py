@@ -231,7 +231,7 @@ class TestTolerances:
 class TestConfigFile:
     def test_config_supplies_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("t2-k = 340\npoints = 7  # sparse grid\n")
+        cfg.write_text("# a comment-only line\nt2-k = 340\npoints = 7  # sparse grid\n")
         rc, out, _ = run(capsys, "fig1", "--config", str(cfg))
         assert rc == 0
         assert "# t2_k = 340.0" in out
@@ -247,7 +247,9 @@ class TestConfigFile:
     @pytest.mark.parametrize("command,text,key", [
         ("fig1", "no-such-option = 1\n", "no-such-option"),
         ("fig3", "points = 7\nconfig = /nonexistent\n", "config"),  # a config file cannot name another
-    ], ids=["unknown-option", "config-key"])
+        # an attribute every namespace has, but no flag
+        ("fig1", "__class__ = 3\n", "__class__"),
+    ], ids=["unknown-option", "config-key", "namespace-attribute"])
     def test_unknown_key_rejected(self, capsys, tmp_path, command, text, key):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(text)
@@ -288,14 +290,25 @@ class TestConfigFile:
         assert out == ""
         assert "config file" in err
 
-    def test_true_boolean_sets_the_flag(self, capsys, tmp_path):
+    @pytest.mark.parametrize("text,message", [
+        ("tail-tol = 1e-6\nbogus line\n", "2: expected 'key = value', got 'bogus line'"),
+        ("oracle = maybe\n", "1: oracle takes true or false, got 'maybe'"),
+    ], ids=["no-equals", "boolean-value"])
+    def test_malformed_line_names_its_place(self, capsys, tmp_path, text, message):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("oracle = true\n")
+        cfg.write_text(text)
+        rc, out, err = run(capsys, "compute", "--config", str(cfg))
+        assert (rc, out, err) == (1, "", f"error: {cfg}:{message}\n")
+
+    @pytest.mark.parametrize("value,on", [("true", True), ("false", False)])
+    def test_boolean_sets_the_flag(self, capsys, tmp_path, value, on):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"oracle = {value}\n")
         rc, out, _ = run(capsys, "compute", "--geometry", "plates", "--a-um", "1.0", "--config", str(cfg))
         assert rc == 0
         rec = json.loads(out)
-        assert rec["config"]["oracle"] is True
-        assert "oracle" in rec
+        assert rec["config"]["oracle"] is on
+        assert ("oracle" in rec) is on
 
 
 class TestOutputFile:

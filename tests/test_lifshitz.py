@@ -313,10 +313,20 @@ class TestEulerMaclaurinClose:
          "-0.0207755987079625"),
         (lambda: plate_pressure(0.15e-6, 300.0, IdealMetal(), MOD_TE, MatsubaraSpec(1e-11)),
          "-2.509454713679602"),
+        # the ideal metal's one part under the free-energy integrand: through
+        # the close, over several room head blocks, and after a modified-TE
+        # n = 0 column of two parts
+        (lambda: plate_free_energy_per_area(0.3e-6, 5.0, IdealMetal(), matsubara=MatsubaraSpec(1e-8)),
+         "-1.605093552523751e-08"),
+        (lambda: sphere_plate_force_pfa(0.15e-6, 300.0, 1e-3, IdealMetal(),
+                                        matsubara=MatsubaraSpec(1e-11)), "-8.068915461186646e-10"),
+        (lambda: sphere_plate_force_pfa(0.3e-6, 2.0, 1e-3, IdealMetal(), MOD_TE, MatsubaraSpec(1e-8)),
+         "-1.0080490137026762e-10"),
     ], ids=["ideal-modified-te-low-edge", "gold-2K", "ideal-5K", "gold-room-blocks",
             "gold-modified-te-5K", "gold-modified-te-room-blocks",
             "gold-modified-te-free-energy-5K", "gold-modified-te-sphere-room-blocks",
-            "ideal-modified-te-5K", "ideal-modified-te-room-blocks"])
+            "ideal-modified-te-5K", "ideal-modified-te-room-blocks",
+            "ideal-free-energy-5K", "ideal-sphere-room-blocks", "ideal-modified-te-sphere-2K"])
     def test_sum_unchanged(self, call, expected):
         # values from before the close shared its first orders() pass with
         # the outer rule; the same with numpy's AVX-512 loops off
@@ -502,17 +512,19 @@ class TestEngineInternals:
         # the kernel knows no prescription: the engine zeroes r_TE^2 on the
         # n = 0 row of its block; every other row, each (lower limit, nodes,
         # polarization), is bit for bit the plasma call's; and an ideal-metal
-        # block without n = 0 arrives as the float pair (the one-part path)
+        # block without n = 0 arrives as its one part, which stands for both
         def rows(blocks):
             for lower, y, rsq in blocks:
-                for i, r2 in enumerate(np.broadcast_arrays(*rsq, y)[:2]):
+                both = rsq if len(rsq) == 2 else rsq * 2
+                for i, r2 in enumerate(np.broadcast_arrays(*both, y)[:2]):
                     for row, u in enumerate(lower):
                         yield (u, y[row].tobytes(), i), r2[row]
 
         def call(approach):
             return lambda: force(a, T, model, approach, MatsubaraSpec(tail))
 
-        plasma = dict(rows(self.blocks(monkeypatch, call(PLASMA), name)))
+        plasma_blocks = self.blocks(monkeypatch, call(PLASMA), name)
+        plasma = dict(rows(plasma_blocks))
         blocks = self.blocks(monkeypatch, call(MOD_TE), name)
         zeros = 0
         for key, r2 in rows(blocks):
@@ -525,8 +537,8 @@ class TestEngineInternals:
         if isinstance(model, IdealMetal):
             past = [rsq for lower, y, rsq in blocks if lower[0] > 0.0]
             assert past
-            for rsq in past:
-                assert [type(r2) for r2 in rsq] == [float, float] and rsq == (1.0, 1.0)
+            for rsq in past + [rsq for lower, y, rsq in plasma_blocks]:
+                assert [type(r2) for r2 in rsq] == [float] and rsq == (1.0,)
 
 
 def textbook_fresnel(model, u, y, length):
@@ -613,9 +625,9 @@ class TestInPlaceBlocks:
             assert got == textbook_fresnel(AU, u, y, 2.0 * self.A)
 
     def reflectivities(self, u, y):
-        """r^2 pairs as the engine passes them: plasma arrays, the ideal
-        metal's floats and, in a block holding n = 0, each with the
-        modified-TE zero in row 0 of r_TE^2 (the ideal metal's as a column)."""
+        """r^2 tuples: plasma arrays, the ideal metal's float pair and, in a
+        block holding n = 0, each with the modified-TE zero in row 0 of r_TE^2
+        (the ideal metal's as a column); last the ideal metal's one part."""
         cases = []
         for model in (AU, IdealMetal()):
             r_tm, r_te = textbook_fresnel(model, u, y, 2.0 * self.A)
@@ -624,6 +636,7 @@ class TestInPlaceBlocks:
                 te2 = np.full(np.broadcast_shapes(u.shape, np.shape(r_te)), r_te * r_te)
                 te2[0] = 0.0
                 cases.append((r_tm * r_tm, te2))
+        cases.append((1.0,))
         return cases
 
     @pytest.mark.parametrize("integrand,textbook", [
@@ -636,11 +649,12 @@ class TestInPlaceBlocks:
         for rsq in self.reflectivities(u, y):
             shapes.append([np.shape(r2) for r2 in rsq])
             kept = [np.copy(r2) for r2 in (y, *rsq)]
-            assert_same_bits(integrand(y, rsq), textbook(y, rsq))
+            # a lone r^2 stands for both polarizations
+            assert_same_bits(integrand(y, rsq), textbook(y, rsq if len(rsq) == 2 else rsq * 2))
             for arg, before in zip((y, *rsq), kept):
                 assert_same_bits(arg, before)
         ideal = [[(), ()], [(), (64, 1)]] if u[0, 0] == 0.0 else [[(), ()]]
-        assert shapes[-len(ideal):] == ideal
+        assert shapes[-1 - len(ideal):] == [*ideal, [()]]
 
     def test_cold_block_takes_the_near_one_branch(self):
         # every cold row meets r_TM^2 e^-y > 1/2 at its inner nodes, none at all
