@@ -19,8 +19,6 @@ from typing import Optional, Sequence
 from . import __version__
 from .dielectric import ApproachVariant, IdealMetal, Plasma
 from .lifshitz import (
-    DEFAULT_MATSUBARA,
-    DEFAULT_QUADRATURE,
     MatsubaraSpec,
     ParallelPlates,
     QuadratureError,
@@ -155,11 +153,11 @@ def build_parser() -> _Parser:
     pc.add_argument("--a-um", type=float, default=0.5)
     pc.add_argument("--oracle", action="store_true",
                     help="also run the Lifshitz engine and report deviations")
-    pc.add_argument("--tail-tol", type=float, default=DEFAULT_MATSUBARA.relative_tail_tolerance,
+    pc.add_argument("--tail-tol", type=float, default=MatsubaraSpec.relative_tail_tolerance,
                     help="Matsubara tail tolerance, in (0, 1): the sum stops at the first "
                          "order below it relative to the partial sum; a sum that would run "
                          "past 256 orders is closed analytically after 64 (default 1e-9)")
-    pc.add_argument("--quad-tol", type=float, default=DEFAULT_QUADRATURE.relative_tolerance,
+    pc.add_argument("--quad-tol", type=float, default=QuadratureSpec.relative_tolerance,
                     help="quadrature tolerance, in (0, 1): bounds each order's change on "
                          "halving the integration step, relative to that order (default 1e-9)")
 
@@ -371,7 +369,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             at = argv.index(args.command) + 1
             args = parser.parse_args(argv[:at] + _config_flags(args) + argv[at:])
         return _COMMANDS[args.command](args)
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except QuadratureError as exc:

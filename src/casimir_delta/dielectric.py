@@ -7,9 +7,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Union
 
-from .quantities import CODATA2018
+from .quantities import CODATA2018, positive
 
 
 @dataclass(frozen=True)
@@ -19,20 +18,16 @@ class IdealMetal:
 
 @dataclass(frozen=True)
 class Plasma:
-    """Free-electron plasma response parameterized by the plasma wavelength."""
+    """Free-electron plasma response; its wavelength is checked by positive."""
 
     lambda_p: float  # m
 
     def __post_init__(self) -> None:
-        if not (self.lambda_p > 0.0) or math.isinf(self.lambda_p):
-            raise ValueError(f"plasma wavelength must be positive and finite, got {self.lambda_p}")
+        object.__setattr__(self, "lambda_p", positive("plasma wavelength", self.lambda_p))
 
     def plasma_frequency(self) -> float:
         """omega_p = 2*pi*c/lambda_p, rad/s. Always derived, never stored."""
         return 2.0 * math.pi * CODATA2018.c / self.lambda_p
-
-
-MetalModel = Union[IdealMetal, Plasma]
 
 
 class ApproachVariant(enum.Enum):
@@ -48,7 +43,7 @@ class ApproachVariant(enum.Enum):
     MODIFIED_TE = "modified-te"
 
 
-def fresnel_coefficients(model: MetalModel, u, y, length: float):
+def fresnel_coefficients(model: IdealMetal | Plasma, u, y, length: float):
     """Fresnel coefficients (r_TM, r_TE) on the imaginary axis, array-valued.
 
     The variables are dimensionless in units of a length L (the engine uses
@@ -87,7 +82,7 @@ def fresnel_coefficients(model: MetalModel, u, y, length: float):
 
 
 def reflection_coefficients(
-    model: MetalModel,
+    model: IdealMetal | Plasma,
     xi: float,
     k_perp: float,
 ) -> tuple[float, float]:

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dielectric import ApproachVariant, IdealMetal, MetalModel, Plasma, fresnel_coefficients
+from .dielectric import ApproachVariant, IdealMetal, Plasma, fresnel_coefficients
 from .quantities import CODATA2018, finite, positive
 
 _log = logging.getLogger(__name__)
@@ -76,8 +76,6 @@ class QuadratureSpec:
 
 
 ABSOLUTE_FLOOR = 1e-300  # absolute quadrature tolerance; see QuadratureSpec
-DEFAULT_MATSUBARA = MatsubaraSpec()
-DEFAULT_QUADRATURE = QuadratureSpec()
 
 
 @dataclass(frozen=True)
@@ -179,7 +177,7 @@ def _order_integrals(
 def _matsubara_sum(
     a: float,
     T: float,
-    model: MetalModel,
+    model: IdealMetal | Plasma,
     approach: ApproachVariant,
     matsubara: MatsubaraSpec,
     quadrature: QuadratureSpec,
@@ -195,7 +193,9 @@ def _matsubara_sum(
     the rest with the Euler-Maclaurin formula; any other sum that has not
     stopped by _CLOSE_AFTER orders is closed there. Order 0, with its 1/2
     weight and the modified-TE zero, is always in the explicit head. That
-    zero is the prescription, applied here alone: r_TE^2 of row n = 0 is 0.
+    zero is the prescription, applied here alone: r_TE^2 of row n = 0 is 0;
+    under the plasma one that row's r_TE^2 is clamped at 1, as p^2 can round an
+    ulp below w^2 at the rule's smallest s, and a log of 1 - r_TE^2 e^-y < 0 is NaN.
     grid alone shapes rsq: (r_TM^2, r_TE^2), or the ideal metal's (1.0,) without that zero.
     """
     # y_n = 2*a*xi_n/c is the lower integration limit of order n and also the
@@ -229,16 +229,14 @@ def _matsubara_sum(
             r_te[0] = 0.0
         elif ideal:
             return integrand(y, (r_tm,))  # both r^2 are 1.0: one part, added to itself
+        elif lower[0, 0] == 0.0:
+            np.minimum(r_te[0], 1.0, out=r_te[0])
         return integrand(y, (r_tm, r_te))
 
     def orders(u: np.ndarray) -> np.ndarray:
-        """The order integral at each lower limit in u, in near-equal blocks of
-        at most _MAX_BLOCK limits (119 limits run as 59 + 60, not 64 + 55)."""
-        count = -(-u.size // _MAX_BLOCK)
-        cuts = [u.size * i // count for i in range(count + 1)]
-        return np.concatenate([
-            _order_integrals(grid, u[i:j, None], quadrature, label) for i, j in zip(cuts, cuts[1:])
-        ])
+        """The order integral at each lower limit in u, in blocks of _MAX_BLOCK limits."""
+        return np.concatenate([_order_integrals(grid, u[i:i + _MAX_BLOCK, None], quadrature, label)
+                               for i in range(0, u.size, _MAX_BLOCK)])
 
     total, last = 0.0, np.empty(0)
     for start, end in zip(bounds, bounds[1:]):
@@ -362,10 +360,10 @@ def _checked(what: str, force: Callable[..., float], a: float, T: float, R: floa
 def plate_free_energy_per_area(
     a: float,
     T: float,
-    model: MetalModel,
+    model: IdealMetal | Plasma,
     approach: ApproachVariant = ApproachVariant.PLASMA_ZERO_FREQUENCY,
-    matsubara: MatsubaraSpec = DEFAULT_MATSUBARA,
-    quadrature: QuadratureSpec = DEFAULT_QUADRATURE,
+    matsubara: MatsubaraSpec = MatsubaraSpec(),
+    quadrature: QuadratureSpec = QuadratureSpec(),
 ) -> float:
     """Matsubara free energy per unit area, J/m^2 (negative for attraction)."""
     return _checked("free energy", lambda a, T, R: CODATA2018.k_B * T / (8.0 * math.pi * a * a) * (
@@ -376,10 +374,10 @@ def plate_free_energy_per_area(
 def plate_pressure(
     a: float,
     T: float,
-    model: MetalModel,
+    model: IdealMetal | Plasma,
     approach: ApproachVariant = ApproachVariant.PLASMA_ZERO_FREQUENCY,
-    matsubara: MatsubaraSpec = DEFAULT_MATSUBARA,
-    quadrature: QuadratureSpec = DEFAULT_QUADRATURE,
+    matsubara: MatsubaraSpec = MatsubaraSpec(),
+    quadrature: QuadratureSpec = QuadratureSpec(),
 ) -> float:
     """Force per unit area between the plates, N/m^2 (negative = attraction).
 
@@ -396,10 +394,10 @@ def sphere_plate_force_pfa(
     a: float,
     T: float,
     R: float,
-    model: MetalModel,
+    model: IdealMetal | Plasma,
     approach: ApproachVariant = ApproachVariant.PLASMA_ZERO_FREQUENCY,
-    matsubara: MatsubaraSpec = DEFAULT_MATSUBARA,
-    quadrature: QuadratureSpec = DEFAULT_QUADRATURE,
+    matsubara: MatsubaraSpec = MatsubaraSpec(),
+    quadrature: QuadratureSpec = QuadratureSpec(),
 ) -> float:
     """Sphere-plate force via the proximity force theorem, N.
 
@@ -447,7 +445,7 @@ def te_zero_frequency_sphere_term(
     T: float,
     R: float,
     lambda_p: float,
-    quadrature: QuadratureSpec = DEFAULT_QUADRATURE,
+    quadrature: QuadratureSpec = QuadratureSpec(),
 ) -> float:
     """Zero-frequency TE contribution to the sphere-plate force, N.
 

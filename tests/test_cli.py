@@ -491,6 +491,22 @@ class TestNonFiniteGrid:
         assert (rc, err) == (0, "")
         assert json.loads(out)["oracle"]["rel_deviation_T1"] < 1e-3
 
+    def test_oracle_runs_where_the_n0_row_rounds_past_one(self, capsys):
+        # gold at 1.153 um with every other flag at its default: the engine's
+        # sphere force was NaN here before row 0's r_TE^2 was clamped at 1
+        rc, out, err = run(capsys, "compute", "--oracle", "--a-um", "1.153")
+        assert (rc, err) == (0, "")
+        oracle = json.loads(out)["oracle"]
+        assert oracle["rel_deviation_T1"] < 1e-4 and oracle["rel_deviation_delta_F"] < 1e-3
+
+    @pytest.mark.parametrize("command", ["fig1", "fig2", "fig3"])
+    def test_grid_too_large_to_allocate(self, capsys, command):
+        # 1e15 float64 points are 8 PB, past a 47-bit address space: numpy's
+        # allocation fails at once under any overcommit policy, touching no memory
+        rc, out, err = run(capsys, command, "--points", "1000000000000000")
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+
     def test_nonpositive_temperature_message_kept(self, capsys):
         rc, out, err = run(capsys, "fig3", "--t1-k", "0")
         assert (rc, out, err) == (1, "", "error: temperature must be positive, got 0.0\n")

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from casimir_delta import lifshitz
 from casimir_delta.dielectric import (
@@ -184,6 +184,34 @@ class TestApproachDifference:
         e_plasma = plate_free_energy_per_area(1e-6, 300.0, IdealMetal(), PLASMA)
         e_mod = plate_free_energy_per_area(1e-6, 300.0, IdealMetal(), MOD_TE)
         assert abs(e_plasma) > abs(e_mod)
+
+
+TOLERANCE = st.floats(-11.0, -7.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=st.floats(0.15e-6, 2e-6), T=st.floats(1.0, 350.0), R=st.floats(0.5e-3, 5e-3),
+       lambda_p=st.floats(100e-9, 200e-9), tail=TOLERANCE, quad=TOLERANCE)
+# at these points the plasma prescription's n = 0 row once gave r_TE^2 an ulp
+# above 1 at the rule's smallest s, and the free energy a NaN: a sphere at
+# 1.153 um, at 300 K and at 4 K; a free energy at 0.461 um and the CLI's
+# lambda_p of 100 nm (100 * 1e-9, not 1e-7);
+# and perfbench's engine-room seed 4242, op 37
+@example(a=1.153e-6, T=300.0, R=2e-3, lambda_p=136e-9, tail=1e-9, quad=1e-9)
+@example(a=1.153e-6, T=4.0, R=2e-3, lambda_p=136e-9, tail=1e-9, quad=1e-9)
+@example(a=0.461e-6, T=300.0, R=2e-3, lambda_p=100 * 1e-9, tail=1e-9, quad=1e-9)
+@example(a=1.213193244457895e-06, T=333.5686475623096, R=0.0014757244684468248,
+         lambda_p=1.1453827052230001e-07, tail=5.932362790505449e-11, quad=1.8941775599464633e-09)
+def test_engine_forces_finite_and_attractive_inside_the_window(a, T, R, lambda_p, tail, quad):
+    # gold-like metals in the paper's window, under both prescriptions
+    model, matsubara, quadrature = Plasma(lambda_p), MatsubaraSpec(tail), QuadratureSpec(quad)
+    values = [te_zero_frequency_sphere_term(a, T, R, lambda_p, quadrature)]
+    for approach in ApproachVariant:
+        values += [plate_pressure(a, T, model, approach, matsubara, quadrature),
+                   plate_free_energy_per_area(a, T, model, approach, matsubara, quadrature),
+                   sphere_plate_force_pfa(a, T, R, model, approach, matsubara, quadrature)]
+    for value in values:
+        assert type(value) is float and math.isfinite(value) and value < 0.0
 
 
 def temperature_at(a, inv_y1):
@@ -539,6 +567,36 @@ class TestEngineInternals:
             assert past
             for rsq in past + [rsq for lower, y, rsq in plasma_blocks]:
                 assert [type(r2) for r2 in rsq] == [float] and rsq == (1.0,)
+
+    @pytest.mark.parametrize("quad,refines", [(1e-9, False), (1e-12, True)])
+    @pytest.mark.parametrize("integrand", [lifshitz._pressure_integrand,
+                                           lifshitz._free_energy_integrand],
+                             ids=["pressure", "free-energy"])
+    def test_order_integrals_do_not_depend_on_the_block(self, integrand, quad, refines):
+        # the cold close's first pass at 0.5 um, 1/y1 = 73: orders N..N+2 and
+        # the outer rule's limits past the edge, which orders() runs in blocks
+        # of 64 and the rest; near-equal and one-row blocks give the same bits,
+        # also where rows take finer levels
+        a, y1 = 0.5e-6, 1.0 / 73.0
+        limits = 64 * y1 + lifshitz._NODES[0][1]
+        u = np.concatenate((np.arange(64, 67) * y1, limits[limits > 64 * y1]))[:, None]
+        refined = []
+
+        def grid(lower, s):
+            refined.append(s.size != lifshitz._NODES[0][1].size)
+            r_tm, r_te = fresnel_coefficients(AU, lower, lower + s, 2.0 * a)
+            return integrand(lower + s, (r_tm * r_tm, r_te * r_te))
+
+        def split(cuts):
+            return np.concatenate([lifshitz._order_integrals(grid, u[i:j], QuadratureSpec(quad), "")
+                                   for i, j in zip(cuts, cuts[1:])])
+
+        n = u.shape[0]
+        plain = split([*range(0, n, lifshitz._MAX_BLOCK), n])
+        assert 64 == lifshitz._MAX_BLOCK < n < 128  # 119 limits: 64 + 55, 59 + 60 and 119 x 1
+        assert_same_bits(split([0, n // 2, n]), plain)
+        assert_same_bits(split(range(n + 1)), plain)
+        assert any(refined) is refines
 
 
 def textbook_fresnel(model, u, y, length):
