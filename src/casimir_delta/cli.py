@@ -3,7 +3,10 @@ validation report, in CSV or JSON.
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 validation
 failure. Identical configs produce byte-identical output (floats fixed at 9
-significant digits)."""
+significant digits).
+
+Parsing (left out of --help): a line that starts with a command name is parsed
+once, by that command's own parser; the root parser takes every other line."""
 
 from __future__ import annotations
 
@@ -131,7 +134,7 @@ def _add_a_grid(p: argparse.ArgumentParser) -> None:
 
 @functools.cache  # the tree is never mutated after it is built; parse_args makes fresh namespaces
 def build_parser() -> _Parser:
-    parser = _Parser(prog="casimir-delta", description=__doc__)
+    parser = _Parser(prog="casimir-delta", description=__doc__.split("\n\nParsing")[0])
     parser.add_argument("--version", action="version", version=f"casimir-delta {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     # fig1 has no sphere, and fig3 prints both prescriptions
@@ -164,6 +167,9 @@ def build_parser() -> _Parser:
     pv = sub.add_parser("validate", help="run the acceptance checklist")
     pv.add_argument("--format", choices=["text", "json"], default="text")
     pv.add_argument("--output", type=str, default=None)
+    for name, command in sub.choices.items():
+        command.set_defaults(command=name)  # what the root parser would set on handing a line on
+    parser.commands = sub.choices  # each command's parser by name, for main
     return parser
 
 
@@ -362,12 +368,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # a command's line goes to its own parser alone, one argparse pass; the
+        # root parser takes the rest (no words, -h, --version, an unknown command)
+        if argv and argv[0] in parser.commands:
+            args = parser.commands[argv[0]].parse_args(argv[1:])
+        else:
+            args = parser.parse_args(argv)
         if getattr(args, "config", None):
             # the file's flags go right after the command name, so that the
             # explicit flags after them win
             at = argv.index(args.command) + 1
-            args = parser.parse_args(argv[:at] + _config_flags(args) + argv[at:])
+            args = parser.commands[args.command].parse_args(_config_flags(args) + argv[at:])
         return _COMMANDS[args.command](args)
     except (UsageError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,3 +1,4 @@
+import argparse
 import collections
 import contextlib
 import functools
@@ -749,6 +750,74 @@ def test_parser_reuse_leaks_no_state_between_calls(capsys, tmp_path):
     assert [rc for rc, _, _ in fresh] == [0, 0]
     assert [run(capsys, *argv) for argv in plain] == fresh
     assert build_parser() is build_parser()
+
+
+def test_one_argparse_pass_per_command_line(monkeypatch, tmp_path):
+    # a call count, not a time: a line that starts with a command name is parsed
+    # by that command's parser alone, not by the root parser and then again by it
+    counts = collections.Counter()
+    parse = argparse.ArgumentParser.parse_known_args
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
+                        _counting(counts, "parses", parse))
+    output = ["--output", str(tmp_path / "out")]
+    for argv in (["fig1"], ["fig2"], ["fig3"], ["compute", "--oracle"], ["validate"]):
+        counts.clear()
+        assert main(argv + output) == 0
+        assert counts == {"parses": 1}, argv
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("points = 7\n")
+    counts.clear()
+    assert main(["fig1", "--config", str(cfg)] + output) == 0
+    assert counts == {"parses": 2}  # the line, then the file's flags before it
+
+
+def _main_namespace(monkeypatch, argv):
+    """The namespace main hands to its command, in place of running it."""
+    seen = []
+    monkeypatch.setattr(cli, "_COMMANDS", {name: lambda args: seen.append(args) or 0
+                                           for name in cli._COMMANDS})
+    assert main(argv) == 0
+    return vars(seen[0])
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig1"], ["fig1", "--poi", "3", "--approach", "ideal"], ["fig1", "--points=3"],
+    ["fig2", "--approach", "modified-te", "--radius-mm", "1.5", "--format", "json"],
+    ["fig3", "--a-um", "0.3", "--output", "out.csv"],
+    ["compute", "--or", "--geometry", "plates", "--tail-tol", "1e-6"],
+    ["validate", "--format", "json"],
+], ids=" ".join)
+def test_command_parser_gives_the_root_parsers_namespace(monkeypatch, argv):
+    assert _main_namespace(monkeypatch, argv) == vars(build_parser().parse_args(argv))
+
+
+def test_config_line_gives_the_root_parsers_namespace(monkeypatch, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("points = 7\nt2-k = 340\n")
+    argv = ["fig1", "--config", str(cfg), "--points", "3"]
+    # the file's lines read as flags right after the command name
+    expected = build_parser().parse_args(["fig1", "--points=7", "--t2-k=340"] + argv[1:])
+    assert _main_namespace(monkeypatch, argv) == vars(expected)
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig1", "--bogus"], ["fig1", "--t1-k", "abc"], ["fig2", "--approach", "bogus"],
+    ["fig3", "extra"], ["fig1", "--version"], ["fig2", "--radius-mm", "-1"],
+], ids=" ".join)
+def test_command_parser_gives_the_root_parsers_usage_error(capsys, argv):
+    with pytest.raises(cli.UsageError) as root:
+        build_parser().parse_args(argv)
+    assert run(capsys, *argv) == (1, "", f"error: {root.value}\n")
+
+
+def test_command_help_is_the_root_parsers(capsys):
+    texts = []
+    for parse in (main, build_parser().parse_args):
+        with pytest.raises(SystemExit) as exit_:
+            parse(["fig1", "-h"])
+        assert exit_.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1] and texts[0].startswith("usage: casimir-delta fig1")
 
 
 # Every command, validate included, and the zero-frequency TE cross-check run
