@@ -151,22 +151,22 @@ def _order_integrals(
     total = np.einsum("ij,j->i", values, w)
     result = h * total
     coarse = 2.0 * h * np.einsum("ij,j->i", values[:, ::2], w[::2])
-    rows = np.arange(u.shape[0])
+    rows = slice(None)  # the whole block; index arrays only for the rows that refine
     for level in range(1, _LEVELS + 1):
-        gap = np.abs(result[rows] - coarse)
+        fine = result[rows]
+        gap = np.abs(fine - coarse)
         # written so that a NaN counts as unmet
-        unmet = ~(gap <= np.maximum(quadrature.relative_tolerance * np.abs(result[rows]),
-                                    ABSOLUTE_FLOOR))
-        rows, gap = rows[unmet], gap[unmet]
-        if rows.size == 0:
+        unmet = ~(gap <= np.maximum(quadrature.relative_tolerance * np.abs(fine), ABSOLUTE_FLOOR))
+        if not unmet.any():
             return result
+        rows = np.flatnonzero(unmet) if level == 1 else rows[unmet]
         if level == _LEVELS:
             if not np.isfinite(result[rows]).all():
                 raise FloatingPointError(f"{label}: an order integral is not finite")
             i = rows[0]
             raise QuadratureError(
                 f"{label} y_n={u[i, 0]:.3e}: not converged at the finest step "
-                f"(value={result[i]:.6e}, change on halving the step={gap[0]:.2e})"
+                f"(value={result[i]:.6e}, change on halving the step={gap[unmet][0]:.2e})"
             )
         h, s, w = _NODES[level]
         coarse = result[rows]
@@ -235,22 +235,25 @@ def _matsubara_sum(
 
     def orders(u: np.ndarray) -> np.ndarray:
         """The order integral at each lower limit in u, in blocks of _MAX_BLOCK limits."""
+        if u.size <= _MAX_BLOCK:
+            return _order_integrals(grid, u[:, None], quadrature, label)
         return np.concatenate([_order_integrals(grid, u[i:i + _MAX_BLOCK, None], quadrature, label)
                                for i in range(0, u.size, _MAX_BLOCK)])
 
     total, last = 0.0, np.empty(0)
     for start, end in zip(bounds, bounds[1:]):
-        n = np.arange(start, end)
-        terms = orders(n * y1)
+        terms = orders(np.arange(start, end) * y1)
         if start == 0:
             terms[0] *= 0.5
         partial = np.cumsum(np.concatenate(([total], terms)))[1:]
         # terms fall off at least like exp(-y1) once n*y1 >> 1; the geometric
         # tail bound |term|/(1 - exp(-y1)) is conservative for all n >= 1
         done = np.abs(terms) <= tail * np.abs(partial) * decay
-        done[n == 0] = False
-        if done.any():
-            return float(partial[np.argmax(done)])
+        if start == 0:
+            done[0] = False
+        i = done.argmax()
+        if done[i]:
+            return float(partial[i])
         total = float(partial[-1])
         last = np.concatenate((last, terms))[-2:]
 
@@ -318,25 +321,37 @@ def _free_energy_integrand(y: np.ndarray, rsq: tuple[np.ndarray, ...]) -> np.nda
 
     log1p(-x) keeps small x = r^2 e^-y exact; where x > 1/2 the logarithm is
     taken of (1 - r^2) + r^2 (1 - e^-y) instead, which stays finite and
-    accurate at nodes where e^-y rounds to 1. With r^2 <= 1 that needs
-    y < ln 2, so only the first rows of a cold head: a block without such a
-    node skips 1 - e^-y and runs log1p unmasked. The block is built in place
-    in arrays of y's shape; r^2 broadcasts."""
+    accurate at nodes where e^-y rounds to 1. Row 0 of every head has such
+    nodes (r_TM = 1 at n = 0). With r^2 <= 1 they need y < ln 2, and a row's
+    nodes ascend, so they lie in rows [:k] alone, k - 1 the last row whose
+    first y is below 1 (1, not ln 2, leaves room for an r^2 an ulp past 1; the
+    last row, not a count, as the close puts orders N..N+2 before its limits).
+    Only those rows take both branches and 1 - e^-y; the rest, and blocks
+    without such a node, run log1p unmasked. The block is built in place in arrays of
+    y's shape; r^2 broadcasts."""
     e = -y
     np.exp(e, out=e)
+    below = y[:, 0] < 1.0
+    k = below.size - int(below[::-1].argmax())  # one past the last row below 1
+    if not below[k - 1]:
+        k = 0
     one_minus_e = None
     total, logs = np.zeros_like(y), np.empty_like(y)
+    low, rest = logs[:k], logs[k:]
     for r2 in rsq:
         np.multiply(r2, e, out=logs)
-        near_one = logs > 0.5
+        near_one = low > 0.5 if k else None
         np.negative(logs, out=logs)
-        if not near_one.any():
+        if near_one is None or not near_one.any():
             np.log1p(logs, out=logs)
         else:
             if one_minus_e is None:
-                one_minus_e = -np.expm1(-y)
-            np.log1p(logs, out=logs, where=~near_one)
-            np.log((1.0 - r2) + r2 * one_minus_e, out=logs, where=near_one)
+                one_minus_e = -np.expm1(-y[:k])
+            if rest.size:
+                np.log1p(rest, out=rest)
+                r2 = r2[:k] if np.ndim(r2) else r2
+            np.log1p(low, out=low, where=~near_one)
+            np.log((1.0 - r2) + r2 * one_minus_e, out=low, where=near_one)
         total += logs
     if len(rsq) == 1:
         total += total

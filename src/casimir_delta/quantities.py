@@ -105,12 +105,11 @@ def finite(what: str, inputs: dict, evaluate, *args, grid=None):
     try:
         with np.errstate(all="ignore"):
             values = evaluate(*args)
-        ok = np.isfinite(values)
-        if ok.all():
+        if (isinstance(values, float) and math.isfinite(values)) or np.isfinite(values).all():
             return values
         if grid is not None:
             label, points = grid
-            at = " at " + named(label, points[ok.all(axis=0).argmin()])
+            at = " at " + named(label, points[np.isfinite(values).all(axis=0).argmin()])
     except ArithmeticError:
         pass
     inputs = ", ".join(named(label, value) for label, value in inputs.items())

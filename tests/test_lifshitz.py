@@ -219,6 +219,14 @@ def temperature_at(a, inv_y1):
     return CODATA2018.hbar * CODATA2018.c / (4.0 * math.pi * a * CODATA2018.k_B * inv_y1)
 
 
+def close_first_pass(y1):
+    """The lower limits of the close's first orders() pass after a 64-order
+    head, as a column: orders 64..66, then the outer rule's first-level limits
+    past the edge 64 y1."""
+    limits = 64 * y1 + lifshitz._NODES[0][1]
+    return np.concatenate((np.arange(64, 67) * y1, limits[limits > 64 * y1]))[:, None]
+
+
 class TestEulerMaclaurinClose:
     """Cold sums: one block of explicit orders, then the Euler-Maclaurin tail."""
 
@@ -350,14 +358,27 @@ class TestEulerMaclaurinClose:
                                         matsubara=MatsubaraSpec(1e-11)), "-8.068915461186646e-10"),
         (lambda: sphere_plate_force_pfa(0.3e-6, 2.0, 1e-3, IdealMetal(), MOD_TE, MatsubaraSpec(1e-8)),
          "-1.0080490137026762e-10"),
+        # from before the free energy's near-one branch ran on the rows below
+        # y = 1 alone: gold spheres at default tolerances, warm and cold, and
+        # the ideal metal's one part
+        (lambda: sphere_plate_force_pfa(0.245e-6, 300.0, 1e-3, AU), "-1.3608785184420603e-10"),
+        (lambda: sphere_plate_force_pfa(0.175e-6, 290.0, 1e-3, AU), "-3.3696380023335697e-10"),
+        (lambda: sphere_plate_force_pfa(1e-6, 1.82, 1e-3, AU), "-2.5044486965856783e-12"),
+        (lambda: plate_free_energy_per_area(0.5e-6, 300.0, IdealMetal()), "-3.4795815031451294e-09"),
+        # at quad 1e-11, 27 of its 34 orders take the second level: past the
+        # check of the whole first level, rows that refine and rows that do not
+        (lambda: sphere_plate_force_pfa(0.5e-6, 300.0, 1e-3, AU, quadrature=QuadratureSpec(1e-11)),
+         "-1.8615337001775135e-11"),
     ], ids=["ideal-modified-te-low-edge", "gold-2K", "ideal-5K", "gold-room-blocks",
             "gold-modified-te-5K", "gold-modified-te-room-blocks",
             "gold-modified-te-free-energy-5K", "gold-modified-te-sphere-room-blocks",
             "ideal-modified-te-5K", "ideal-modified-te-room-blocks",
-            "ideal-free-energy-5K", "ideal-sphere-room-blocks", "ideal-modified-te-sphere-2K"])
+            "ideal-free-energy-5K", "ideal-sphere-room-blocks", "ideal-modified-te-sphere-2K",
+            "gold-sphere-0.245um-300K", "gold-sphere-0.175um-290K", "gold-sphere-1um-1.82K",
+            "ideal-free-energy-0.5um-300K", "gold-sphere-quad-1e-11-refines"])
     def test_sum_unchanged(self, call, expected):
         # values from before the close shared its first orders() pass with
-        # the outer rule; the same with numpy's AVX-512 loops off
+        # the outer rule, or as noted; the same with numpy's AVX-512 loops off
         assert repr(call()) == expected
 
     @staticmethod
@@ -577,9 +598,7 @@ class TestEngineInternals:
         # the outer rule's limits past the edge, which orders() runs in blocks
         # of 64 and the rest; near-equal and one-row blocks give the same bits,
         # also where rows take finer levels
-        a, y1 = 0.5e-6, 1.0 / 73.0
-        limits = 64 * y1 + lifshitz._NODES[0][1]
-        u = np.concatenate((np.arange(64, 67) * y1, limits[limits > 64 * y1]))[:, None]
+        a, u = 0.5e-6, close_first_pass(1.0 / 73.0)
         refined = []
 
         def grid(lower, s):
@@ -648,17 +667,25 @@ class TestInPlaceBlocks:
 
     # lower limits n*y1 for a cold y1 (1/y1 = 1000, as at 0.15 um and 1.2 K:
     # all 64 rows below y = ln 2, where the free energy takes its near-one
-    # branch), for a room one (0.5 um at 290 K: only row 0 there), and the
-    # room orders from y = 700 on, where e^-y underflows to 0 and logs are -0
+    # branch), for a room one (0.5 um at 290 K: only row 0 there), for
+    # 1/y1 = 15 (rows 0-14 below y = 1, the first 11 of them below ln 2), and
+    # the room orders from y = 700 on, where e^-y underflows to 0 and logs
+    # are -0; the close's first pass at 1/y1 = 100 (orders N..N+2, then the
+    # outer limits past the edge N y1); n = 0 alone; and rows whose first y
+    # do not ascend, the last below y = 1 past one above it
     LOWER = {
         "cold": np.arange(64.0)[:, None] * 1e-3,
         "room": np.arange(64.0)[:, None] * 0.8,
+        "mid": np.arange(64.0)[:, None] / 15.0,
         "far": 700.0 + np.arange(64.0)[:, None] * 0.8,
+        "close": close_first_pass(1.0 / 100.0),
+        "one-row": np.zeros((1, 1)),
+        "unordered": np.array([[0.0], [2.0], [0.01]]),
     }
     NODES = {"first": lifshitz._NODES[0][1], "finest": lifshitz._NODES[-1][1]}
     A = 0.3e-6
 
-    @pytest.fixture(params=["cold", "room", "far"])
+    @pytest.fixture(params=list(LOWER))
     def lower(self, request):
         return self.LOWER[request.param]
 
@@ -711,7 +738,7 @@ class TestInPlaceBlocks:
             assert_same_bits(integrand(y, rsq), textbook(y, rsq if len(rsq) == 2 else rsq * 2))
             for arg, before in zip((y, *rsq), kept):
                 assert_same_bits(arg, before)
-        ideal = [[(), ()], [(), (64, 1)]] if u[0, 0] == 0.0 else [[(), ()]]
+        ideal = [[(), ()], [(), (u.shape[0], 1)]] if u[0, 0] == 0.0 else [[(), ()]]
         assert shapes[-1 - len(ideal):] == [*ideal, [()]]
 
     def test_cold_block_takes_the_near_one_branch(self):
@@ -720,6 +747,43 @@ class TestInPlaceBlocks:
         y = u + self.NODES["first"]
         near = np.exp(-y) * textbook_fresnel(AU, u, y, 2.0 * self.A)[0] ** 2 > 0.5
         assert near.any(axis=1).all() and not near.all()
+
+    @pytest.mark.parametrize("model", [AU, Plasma(1e-6), IdealMetal()], ids=repr)
+    def test_no_near_one_node_past_the_bound(self, block, model):
+        # the free energy's near-one branch runs on rows [:k] alone, k one
+        # past the last row whose first node has y < 1
+        u, y = block
+        below = np.flatnonzero(y[:, 0] < 1.0)
+        k = below[-1] + 1 if below.size else 0
+        for r in textbook_fresnel(model, u, y, 2.0 * self.A):
+            near = np.broadcast_to(r * r * np.exp(-y), y.shape) > 0.5
+            assert not near[k:].any()
+
+    def test_near_one_branch_runs_on_the_rows_below_y_1(self, monkeypatch):
+        # a count, not a time: the shape of the output of each np.log, which
+        # only the near-one branch calls
+        shapes = []
+
+        class RecordingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def log(*args, out, **kwargs):
+                shapes.append(out.shape)
+                return np.log(*args, out=out, **kwargs)
+
+        monkeypatch.setattr(lifshitz, "np", RecordingNumpy())
+        # 1 um at 300 K, y1 = 1.64: only row 0 starts below y = 1, and both
+        # of its polarizations hold near-one nodes
+        plate_free_energy_per_area(1e-6, 300.0, AU)
+        assert shapes == [(1, 129)] * 2
+        shapes.clear()
+        u = self.LOWER["cold"]
+        y = u + self.NODES["first"]
+        r_tm, r_te = textbook_fresnel(AU, u, y, 2.0 * self.A)
+        lifshitz._free_energy_integrand(y, (r_tm * r_tm, r_te * r_te))
+        assert shapes == [(64, 129)] * 2
 
 
 class TestSpecValidation:
