@@ -19,6 +19,8 @@ import stat
 import sys
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import __version__
 from .dielectric import ApproachVariant, IdealMetal, Plasma
 from .lifshitz import (
@@ -59,9 +61,49 @@ class _Parser(argparse.ArgumentParser):
 
 
 # every float the CLI prints is rounded to 9 significant digits: CSV cells are
-# this format's text, JSON numbers the float it parses back to (figure cells
-# reach the same text by format(x, ".9"), see _emit_table)
+# this format's text, JSON numbers the float it parses back to (figure tables
+# reach the same text by _csv_body and by format(x, ".9"), see _emit_table)
 _DIGITS9 = "%.8e"
+_POW10 = np.array([float(f"1e{k}") for k in range(-120, 121)])  # 10^k at k + 120, correctly rounded
+_PLACES = _POW10[128:119:-1, None]  # 1e8 ... 1e0, a column
+_CELL = np.frombuffer(b"-0.00000000e+00,", np.uint8)[:, None]  # a cell's bytes, a column
+
+
+def _csv_body(values: np.ndarray) -> Optional[str]:
+    """The rows of `values` as _DIGITS9 cells ended by "," and "\n", built in
+    whole-array passes as one (16 x cells) byte array, or None for the %
+    template where a cell needs printf's own rounding: within 1e-6 of a tie,
+    a three-digit exponent (subnormals too) or not finite.
+
+    With e = floor(log10|x|), m = |x| 10^(8-e) is the product of two correctly
+    rounded factors, so it is within 2.4e-7 of exact, and rint(m) is printf's
+    round-half-even mantissa. A carry to 1e9 is 1e8 with e + 1; that also
+    mends log10 missing by one next to a power of ten, where m lies within
+    1e-6 of 1e8 or 1e9. The digits are exact float divisions of rint(m)."""
+    x = np.abs(values).ravel()
+    e = np.floor(np.log10(np.where(x == 0.0, 1.0, x)))  # 0 for a zero
+    if not (np.abs(e) <= 100.0).all():  # false for nan and inf too; keeps e's index in _POW10
+        return None
+    m = x * _POW10[128 - e.astype(np.intp)]  # |x| 10^(8-e)
+    q = np.rint(m)
+    if (np.abs(m - q) >= 0.5 - 1e-6).any():  # within 1e-6 of a tie
+        return None
+    carry = q == 1e9
+    e += carry
+    if not (np.abs(e) <= 99.0).all():
+        return None
+    digits = np.floor(np.where(carry, 1e8, q) / _PLACES)  # row k: the leading k + 1 digits
+    digits[1:] -= 10.0 * digits[:-1]
+    tens = np.floor(np.abs(e) / 10.0)
+    cells = np.repeat(_CELL, x.size, axis=1)
+    cells[0] = 45 * np.signbit(values.ravel())  # "-", for -0.0 too, or 0 to drop
+    cells[1] = digits[0] + 48
+    cells[3:11] = digits[1:] + 48
+    cells[12, e < 0.0] = 45  # "-"
+    cells[13] = tens + 48
+    cells[14] = np.abs(e) - 10.0 * tens + 48
+    cells[15].reshape(len(values), -1)[:, -1] = 10  # "\n" ends a row
+    return cells.T.tobytes().replace(b"\0", b"").decode("ascii")
 
 
 def _round9(x: float) -> float:
@@ -185,8 +227,9 @@ def _emit_table(table: SweepTable, cfg: dict, fmt: str,
     """Render a sweep table (at least one row, every cell finite, as the
     sweeps guarantee); the first column is rescaled to CLI units.
 
-    The CSV body is one format string over the table, every cell at 9
-    significant digits. The JSON text is the bytes of
+    The CSV body is _csv_body's whole-array print, or where it declines one %
+    over a row template, every cell at 9 significant digits. The JSON text
+    is the bytes of
     json.dumps({"config": cfg, "rows": [{column: _round9(cell), ...}, ...]},
     indent=2) + "\\n", built without json's indenting encoder, which runs in
     Python for every cell: the rows are one % over a row template. Each cell
@@ -199,11 +242,12 @@ def _emit_table(table: SweepTable, cfg: dict, fmt: str,
     nrows, ncols = table.values.shape
     values = table.values.copy()
     values[:, 0] *= first_col_scale
-    cells = values.ravel().tolist()
     if fmt == "csv":
-        body = "\n".join([",".join([_DIGITS9] * ncols)] * nrows) % tuple(cells)
-        lines = [f"# {k} = {v}" for k, v in cfg.items()]
-        return "\n".join(lines + [",".join(columns), body]) + "\n"
+        lines = [f"# {k} = {v}" for k, v in cfg.items()] + [",".join(columns), ""]
+        row = ",".join([_DIGITS9] * ncols) + "\n"
+        body = _csv_body(values) or row * nrows % tuple(values.ravel().tolist())
+        return "\n".join(lines) + body
+    cells = values.ravel().tolist()
     text = ",".join(["{:.9}"] * len(cells)).format(*cells)
     cells = text.split(",")
     if "e+" in text or "e-3" in text:

@@ -1,6 +1,7 @@
 import argparse
 import collections
 import contextlib
+import decimal
 import functools
 import io
 import json
@@ -719,6 +720,101 @@ def test_table_text_equals_the_reference(case):
     for fmt in ("json", "csv"):
         got = cli._emit_table(table, cfg, fmt, scale, name)
         assert got == _table_text_reference(table, cfg, fmt, scale, name)
+
+
+def _csv_paths(counts):
+    """cli._csv_body, counting the tables it prints ("kernel") and declines ("fallback")."""
+    csv_body = cli._csv_body
+
+    def counting(values):
+        body = csv_body(values)
+        counts["fallback" if body is None else "kernel"] += 1
+        return body
+    return counting
+
+
+EXACT = decimal.Context(prec=1000)  # more digits than any double in the kernel's range has
+
+
+def _tie_distance(x):
+    """How far the exact 9-digit mantissa of |x| lies from a rounding tie."""
+    d = abs(decimal.Decimal(x))
+    if not d:
+        return decimal.Decimal("0.5")
+    return abs(d.scaleb(8 - d.adjusted(), EXACT) % 1 - decimal.Decimal("0.5"))
+
+
+# the kernel's range: sign x [1, 10) x 10^e with a two-digit e, and +-0.0
+KERNEL_CELLS = st.one_of(
+    st.builds(lambda sign, mantissa, e: sign * mantissa * 10.0 ** e, st.sampled_from([-1.0, 1.0]),
+              st.floats(1.0, 10.0, exclude_max=True), st.integers(-99, 99)),
+    st.sampled_from([0.0, -0.0]))
+# exact decimal ties, which printf rounds half-even: they take the % template.
+# Only 10000000050000.0's scaled mantissa rounds off its tie, so that without
+# the kernel's tie guard it would print 1.00000001e+13
+CSV_TIES = [(1234567885.0, 123456788.5, 12345678.25), (-1234567885.0, 0.0, 10000000050000.0)]
+# nextafter neighbours of powers of ten, where log10 can miss by one, and a
+# row whose cells round up to 1e16, 1e-4 and 1e99
+CSV_POWERS = [tuple(np.nextafter(p, [0.0, p, np.inf]).tolist()) for p in (1e-5, 1e15, 1e22, 1e31)]
+CSV_POWERS.append((9.9999999951e15, -9.999999996e-05, 9.9999999996e98))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(KERNEL_CELLS, KERNEL_CELLS, KERNEL_CELLS), min_size=1, max_size=40))
+@example(CSV_TIES)
+@example(CSV_POWERS)
+@example([(9.999999995e-05, 99999999.95, -99999999.95)])  # round up across a power of ten, near ties
+@example([(1e31, -1e-31, 4.4e55), (7.7e-77, 1e99, -1e-99), (9.87654321e98, 1.23456789e-98, 5.5e31)])
+@example([(9.9999999999e99, 1e-150, 2.5e300)])  # three-digit exponents
+@example([(0.0, -0.0, 0.0), (-0.0, 1.0, -1.0)])
+def test_csv_kernel_prints_the_reference_text(rows):
+    table = SweepTable(("a_m", "x", "y"), np.array(rows))
+    counts = collections.Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_csv_body", _csv_paths(counts))
+        text = cli._emit_table(table, {}, "csv", 1.0, "a_um")
+    assert text == _table_text_reference(table, {}, "csv", 1.0, "a_um")
+    cells = np.ravel(rows).tolist()
+    distance = min(_tie_distance(x) for x in cells)
+    three_digit_exponent = any(len(f"{x:.8e}".split("e")[1]) > 3 for x in cells)
+    if distance == 0 or three_digit_exponent:
+        assert counts == {"fallback": 1}
+    elif distance > decimal.Decimal("2e-6"):  # past the kernel's 1e-6 guard and its 2.4e-7 error
+        assert counts == {"kernel": 1}
+
+
+def test_csv_figures_take_the_kernel(monkeypatch, tmp_path):
+    # a path count, not a time: every default figure table, few rows or many,
+    # is printed by the kernel and never by the % template
+    counts = collections.Counter()
+    monkeypatch.setattr(cli, "_csv_body", _csv_paths(counts))
+    runs = [(command, approach) for command, approaches in
+            (("fig1", ("plasma", "ideal")), ("fig2", ("plasma", "modified-te", "ideal")),
+             ("fig3", ("plasma", "ideal"))) for approach in approaches]
+    for points in (10, 500):
+        counts.clear()
+        for command, approach in runs:
+            assert main([command, "--approach", approach, "--points", str(points),
+                         "--output", str(tmp_path / "out")]) == 0
+        assert counts == {"kernel": len(runs)}
+
+
+def test_out_of_window_figure_takes_the_fallback(monkeypatch, tmp_path):
+    # three-digit exponents: the whole table goes to the % template, with the reference's bytes
+    counts = collections.Counter()
+    calls = []
+    emit_table = cli._emit_table
+
+    def recording(*args):
+        calls.append(args)
+        return emit_table(*args)
+    monkeypatch.setattr(cli, "_csv_body", _csv_paths(counts))
+    monkeypatch.setattr(cli, "_emit_table", recording)
+    path = tmp_path / "out"
+    assert main(["fig2", "--a-max-um", "1e300", "--points", "3", "--output", str(path)]) == 0
+    assert counts == {"fallback": 1}
+    assert "e+300," in path.read_text()
+    assert path.read_text() == _table_text_reference(*calls[0])
 
 
 # figures whose grid cells reach [1e8, 1e16), where repr keeps fixed notation
