@@ -41,7 +41,6 @@ from .perturbative import (
 from .quantities import classify_validity, positive
 from .scenarios import (
     SweepSpec,
-    SweepTable,
     TemperaturePair,
     delta_force_plates,
     delta_force_sphere,
@@ -143,7 +142,8 @@ def _config_flags(args: argparse.Namespace) -> list[str]:
 
 def _radius_mm(text: str) -> float:
     """--radius-mm's type: checked on every command that takes the flag,
-    including fig1 and plate computations, which do not use it."""
+    though only compute --geometry sphere uses it (fig2 and fig3 print per
+    unit radius, and plates have no radius)."""
     try:
         return positive("sphere radius", float(text))
     except ValueError as exc:
@@ -222,10 +222,10 @@ def _resolved_config(args: argparse.Namespace, keys: Sequence[str]) -> dict:
     return cfg
 
 
-def _emit_table(table: SweepTable, cfg: dict, fmt: str,
-                first_col_scale: float, first_col_name: str) -> str:
-    """Render a sweep table (at least one row, every cell finite, as the
-    sweeps guarantee); the first column is rescaled to CLI units.
+def _emit_table(values: np.ndarray, columns: Sequence[str], cfg: dict, fmt: str) -> str:
+    """Render a sweep's (rows x columns) array under the column names, its
+    column 0 already in CLI units (at least one row, every cell finite, as
+    the sweeps guarantee).
 
     The CSV body is _csv_body's whole-array print, or where it declines one %
     over a row template, every cell at 9 significant digits. The JSON text
@@ -238,10 +238,7 @@ def _emit_table(table: SweepTable, cfg: dict, fmt: str,
     [1e8, 1e16), which repr keeps in fixed notation, and a subnormal, whose
     shortest repr can have other digits. Cells whose text has an "e+" or an
     "e-3" exponent, a superset of both, are that repr instead."""
-    columns = (first_col_name,) + table.columns[1:]
-    nrows, ncols = table.values.shape
-    values = table.values.copy()
-    values[:, 0] *= first_col_scale
+    nrows, ncols = values.shape
     if fmt == "csv":
         lines = [f"# {k} = {v}" for k, v in cfg.items()] + [",".join(columns), ""]
         row = ",".join([_DIGITS9] * ncols) + "\n"
@@ -296,23 +293,30 @@ def _approach(args: argparse.Namespace) -> ApproachVariant:
 
 
 def cmd_separation_sweep(args: argparse.Namespace) -> int:
-    """fig1 (plates) and fig2 (sphere, per unit radius)."""
+    """fig1 (plates) and fig2 (sphere, per unit radius, so at R = 1 m)."""
     grid = SweepSpec(args.a_min_um * 1e-6, args.a_max_um * 1e-6, args.points)
     pair = TemperaturePair(args.t1_k, args.t2_k)
-    geometry = ParallelPlates() if args.command == "fig1" else SpherePlate(args.radius_mm * 1e-3)
-    table = sweep_separation(pair, _lambda_p(args), geometry, _approach(args), grid)
+    if args.command == "fig1":
+        geometry, columns = ParallelPlates(), ("a_um", "dF_real_N_per_m2", "dF_ideal_N_per_m2")
+    else:
+        geometry = SpherePlate(1.0)
+        columns = ("a_um", "dFps_over_R_real_N_per_m", "dFps_over_R_ideal_N_per_m")
+    values = sweep_separation(pair, _lambda_p(args), geometry, _approach(args), grid)
+    values[:, 0] *= 1e6  # m to um
     cfg = _resolved_config(args, ["approach", "lambda_p_nm", "t1_k", "t2_k",
                                   "a_min_um", "a_max_um", "points", "format"])
-    _write(_emit_table(table, cfg, args.format, 1e6, "a_um"), args.output)
+    _write(_emit_table(values, columns, cfg, args.format), args.output)
     return 0
 
 
 def cmd_fig3(args: argparse.Namespace) -> int:
     grid = SweepSpec(args.t1_k, args.t2_k, args.points)
-    table = sweep_temperature(args.a_um * 1e-6, _lambda_p(args), args.radius_mm * 1e-3, grid)
+    values = sweep_temperature(args.a_um * 1e-6, _lambda_p(args), grid)
+    columns = ("T2_K", "dFps_over_R_plasma_N_per_m", "dFps_over_R_modified_te_N_per_m",
+               "dFps_over_R_ideal_N_per_m")
     cfg = _resolved_config(args, ["approach", "lambda_p_nm", "t1_k", "t2_k",
                                   "a_um", "points", "format"])
-    _write(_emit_table(table, cfg, args.format, 1.0, "T2_K"), args.output)
+    _write(_emit_table(values, columns, cfg, args.format), args.output)
     return 0
 
 

@@ -8,7 +8,9 @@ alike. `delta_force_plates`/`delta_force_sphere` check one point and call
 them on floats; the sweeps check their inputs once and call them on the
 whole grid, once per column, so that a sweep cell and the scalar value are
 the same float. Both go through `quantities.finite`, so an input for which
-the closed form is not finite is a ValueError."""
+the closed form is not finite is a ValueError. A sweep returns the bare
+(points x columns) array, column 0 its grid in SI units; its sphere columns
+are per unit radius, delta_F at R = 1 m, and the CLI names the columns."""
 
 from __future__ import annotations
 
@@ -138,69 +140,49 @@ DEFAULT_SEPARATION_GRID = SweepSpec(0.15e-6, 2.0e-6, 75)
 DEFAULT_TEMPERATURE_GRID = SweepSpec(300.0, 350.0, 51)
 
 
-@dataclass(frozen=True)
-class SweepTable:
-    """Labelled columns over a grid: values is the (points x columns) array
-    whose column 0 is the grid. Sphere-plate columns are per unit radius
-    (N/m)."""
-
-    columns: tuple[str, ...]
-    values: np.ndarray
-
-
-def _sphere_per_radius(a, T1, T2, R, delta, approach):
-    """The sphere-plate delta_F / R column over an array of a or of T2."""
-    T_eff, d = gap_scales(a, delta)
-    return _sphere_difference(a, T1, T2, R, T_eff, d, approach) / R
-
-
 def sweep_separation(
     pair: TemperaturePair,
     lambda_p: float,
     geometry: ParallelPlates | SpherePlate,
     approach: ApproachVariant = ApproachVariant.PLASMA_ZERO_FREQUENCY,
     grid: SweepSpec = DEFAULT_SEPARATION_GRID,
-) -> SweepTable:
+) -> np.ndarray:
     """Difference force over a separation grid, with the ideal-metal companion
-    column every figure contrasts against. Sphere-plate values are per unit
-    radius, so the result does not depend on the sphere's R.
+    column every figure contrasts against: the (points x 3) array of a (m),
+    the real-metal and the ideal-metal delta_F. Sphere-plate columns are per
+    unit radius (N/m), delta_F at R = 1 m: only the kind of geometry is read,
+    never its R.
 
     The grid is np.geomspace(start, stop, points). The inputs are checked
     once (the grid's least separation is its start) and each column is one
     elementwise pass of the closed form over the grid; every cell equals
-    the scalar delta_force_* value (over R) bit for bit. Inputs for which a
-    cell is not finite are a ValueError that names the scalar inputs and
-    the first separation with such a cell."""
+    the scalar delta_force_* value (the sphere's at R = 1.0) bit for bit.
+    Inputs for which a cell is not finite are a ValueError that names the
+    scalar inputs and the first separation with such a cell."""
     positive("separation", grid.start)
     a = np.geomspace(grid.start, grid.stop, grid.points)
     delta = skin_depth_parameter(lambda_p)
     T1, T2 = pair.T1, pair.T2
-    inputs = {"temperature T1": T1, "temperature T2": T2}
     if isinstance(geometry, ParallelPlates):
-        columns = ("a_m", "dF_real_N_per_m2", "dF_ideal_N_per_m2")
-
         def column(depth):
             return _plates_difference(T1, T2, *gap_scales(a, depth))
     else:
-        columns = ("a_m", "dFps_over_R_real_N_per_m", "dFps_over_R_ideal_N_per_m")
-        inputs["sphere radius"] = geometry.R
-
         def column(depth):
-            return _sphere_per_radius(a, T1, T2, geometry.R, depth, approach)
-    inputs["plasma wavelength"] = lambda_p
+            return _sphere_difference(a, T1, T2, 1.0, *gap_scales(a, depth), approach)
+    inputs = {"temperature T1": T1, "temperature T2": T2, "plasma wavelength": lambda_p}
     values = finite("difference force", inputs, lambda: (column(delta), column(0.0)),
                     grid=("separation", a))
-    return SweepTable(columns, np.column_stack((a, *values)))
+    return np.column_stack((a, *values))
 
 
 def sweep_temperature(
     a: float,
     lambda_p: float,
-    R: float = 1.0e-3,
     grid: SweepSpec = DEFAULT_TEMPERATURE_GRID,
-) -> SweepTable:
-    """Sphere-plate difference force per unit radius versus the upper
-    temperature, under both prescriptions, with the ideal-metal reference.
+) -> np.ndarray:
+    """Sphere-plate difference force per unit radius (N/m, delta_F at
+    R = 1 m) versus the upper temperature: the (points x 4) array of T2 (K)
+    and the plasma, modified-TE and ideal-metal columns.
 
     The grid is np.linspace(start, stop, points), and T1 is its start, so
     the first row is T2 = T1. As in sweep_separation, the inputs are checked
@@ -211,7 +193,6 @@ def sweep_temperature(
     T1 = positive("temperature", grid.start)
     T2 = np.linspace(T1, grid.stop, grid.points)
     a = positive("separation", a)
-    R = positive("sphere radius", R)
     delta = skin_depth_parameter(lambda_p)
     cases = (
         (delta, ApproachVariant.PLASMA_ZERO_FREQUENCY),
@@ -220,13 +201,8 @@ def sweep_temperature(
     )
     values = finite(
         "difference force",
-        {"separation": a, "temperature T1": T1, "sphere radius": R, "plasma wavelength": lambda_p},
-        lambda: tuple(_sphere_per_radius(a, T1, T2, R, depth, approach) for depth, approach in cases),
+        {"separation": a, "temperature T1": T1, "plasma wavelength": lambda_p},
+        lambda: tuple(_sphere_difference(a, T1, T2, 1.0, *gap_scales(a, depth), approach)
+                      for depth, approach in cases),
         grid=("temperature T2", T2))
-    columns = (
-        "T2_K",
-        "dFps_over_R_plasma_N_per_m",
-        "dFps_over_R_modified_te_N_per_m",
-        "dFps_over_R_ideal_N_per_m",
-    )
-    return SweepTable(columns, np.column_stack((T2, *values)))
+    return np.column_stack((T2, *values))

@@ -121,9 +121,9 @@ def _contrast(approach: ApproachVariant) -> float:
 
 
 def _ideal_vs_plasma_fig3() -> float:
-    table = sweep_temperature(0.5e-6, AU_LAMBDA_P, 2e-3, DEFAULT_TEMPERATURE_GRID)
+    values = sweep_temperature(0.5e-6, AU_LAMBDA_P, DEFAULT_TEMPERATURE_GRID)
     # the first row, T2 = T1, is exactly zero in both columns
-    _, pl, _, ideal = table.values[1:].T
+    _, pl, _, ideal = values[1:].T
     return float(np.max(np.abs(ideal - pl) / np.abs(pl)))
 
 
@@ -170,8 +170,8 @@ def _ideal_plate_values() -> float:
 
 def _monotone() -> float:
     def decreasing(geometry) -> bool:
-        table = sweep_separation(PAIR, AU_LAMBDA_P, geometry, grid=DEFAULT_SEPARATION_GRID)
-        mags = np.abs(table.values[:, 1])
+        values = sweep_separation(PAIR, AU_LAMBDA_P, geometry, grid=DEFAULT_SEPARATION_GRID)
+        mags = np.abs(values[:, 1])
         return bool(np.all(mags[:-1] > mags[1:]))
 
     return float(all(decreasing(g) for g in (ParallelPlates(), SpherePlate(1e-3))))

@@ -20,7 +20,6 @@ from casimir_delta import cli, lifshitz, scenarios, validation
 from casimir_delta.cli import build_parser, main
 from casimir_delta.dielectric import ApproachVariant, IdealMetal, Plasma
 from casimir_delta.perturbative import OMITTED_REMAINDER_NOTE
-from casimir_delta.scenarios import SweepTable
 
 
 def run(capsys, *argv):
@@ -418,6 +417,37 @@ class TestUsage:
         assert rc == 1
 
 
+def _figure_text(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(list(argv))
+    assert (rc, err.getvalue()) == (0, "")
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", [
+    ("fig2",), ("fig2", "--approach", "modified-te"), ("fig3",), ("fig3", "--points", "3"),
+    # delta_F at R, divided by R, once printed -5.27708697e-11 at 0.7 mm and -5.27708698e-11 at 2 mm
+    ("fig2", "--a-min-um", "0.3145400374692016", "--points", "1"),
+], ids=" ".join)
+def test_sphere_figures_do_not_depend_on_the_radius(argv, fmt):
+    # per unit radius: the same bytes for every radius the flag accepts
+    texts = {_figure_text(*argv, "--format", fmt, "--radius-mm", radius)
+             for radius in ("2", "0.7", "1e-297")}
+    assert len(texts) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=st.floats(0.15, 2.0), radius=st.floats(-297.0, 3.0).map(lambda e: 10.0 ** e),
+       approach=st.sampled_from(["plasma", "modified-te", "ideal"]))
+@example(a=0.3145400374692016, radius=0.7, approach="plasma")
+def test_fig2_point_does_not_depend_on_the_radius(a, radius, approach):
+    argv = ("fig2", "--a-min-um", repr(a), "--points", "1", "--approach", approach,
+            "--format", "json", "--radius-mm")
+    assert _figure_text(*argv, repr(radius)) == _figure_text(*argv, "2")
+
+
 class TestNonFiniteGrid:
     @pytest.mark.parametrize("argv,message", [
         (("fig1", "--a-max-um", "inf"), "grid stop must be finite, got inf"),
@@ -432,14 +462,14 @@ class TestNonFiniteGrid:
            "temperature T1 300.0 K, temperature T2 350.0 K, plasma wavelength 1.36e-07 m "
            "give a non-finite difference force at separation 1e-306 m") for fmt in ("csv", "json")),
         *((("fig3", "--t1-k", "1e-300", "--t2-k", "1e-299", "--points", "2", "--format", fmt),
-           "separation 5e-07 m, temperature T1 1e-300 K, sphere radius 0.002 m, plasma wavelength "
+           "separation 5e-07 m, temperature T1 1e-300 K, plasma wavelength "
            "1.36e-07 m give a non-finite difference force at temperature T2 1e-300 K")
           for fmt in ("csv", "json")),
         (("fig3", "--t2-k", "1e300", "--points", "2"),
-         "separation 5e-07 m, temperature T1 300.0 K, sphere radius 0.002 m, plasma wavelength "
+         "separation 5e-07 m, temperature T1 300.0 K, plasma wavelength "
          "1.36e-07 m give a non-finite difference force at temperature T2 1e+300 K"),
         (("fig2", "--t2-k", "1e100"),
-         "temperature T1 300.0 K, temperature T2 1e+100 K, sphere radius 0.002 m, plasma wavelength "
+         "temperature T1 300.0 K, temperature T2 1e+100 K, plasma wavelength "
          "1.36e-07 m give a non-finite difference force at separation 1.5e-07 m"),
         # 2 a k_B underflows to 0
         (("compute", "--a-um", "1e-300", "--geometry", "plates"),
@@ -662,10 +692,9 @@ def test_json_figure_encoding_does_not_grow_with_points(monkeypatch, tmp_path):
     assert few == _figure_call_counts(counts, tmp_path, 500, "--format", "json")
 
 
-def _table_text_reference(table, cfg, fmt, first_col_scale, first_col_name):
+def _table_text_reference(values, columns, cfg, fmt):
     """The figure tables as json.dumps(indent=2) and a per-cell f-string write them."""
-    columns = (first_col_name,) + table.columns[1:]
-    rows = [(r[0] * first_col_scale,) + tuple(r[1:]) for r in table.values.tolist()]
+    rows = values.tolist()
     if fmt == "json":
         payload = {"config": cfg,
                    "rows": [{c: float(f"{v:.8e}") for c, v in zip(columns, row)} for row in rows]}
@@ -687,7 +716,7 @@ CELLS = st.one_of(FINITE, LOG_UNIFORM)
 
 @st.composite
 def figure_tables(draw):
-    """(table, cfg, first column scale, first column name): 1-5 columns of
+    """(values, column names, cfg, first column scale): 1-5 columns of
     distinct names, 1-60 rows of finite cells, finite after the scale too."""
     names = draw(st.lists(st.text(max_size=6), min_size=1, max_size=5, unique=True))
     scale = draw(st.sampled_from([1.0, 1e6]))
@@ -695,7 +724,7 @@ def figure_tables(draw):
     rows = draw(st.lists(st.tuples(first, *[CELLS] * (len(names) - 1)), min_size=1, max_size=60))
     cfg = draw(st.dictionaries(st.text(max_size=6), st.one_of(
         st.none(), st.booleans(), st.integers(), FINITE, st.text(max_size=6)), max_size=4))
-    return SweepTable(("grid",) + tuple(names[1:]), np.array(rows)), cfg, scale, names[0]
+    return np.array(rows), tuple(names), cfg, scale
 
 
 # each cell at an edge of the 9-digit rounding or of repr's notation:
@@ -710,16 +739,16 @@ EDGE_CELLS = (1.7976931348623157e308, 9.999999995e-05, 1e16, 123456789.0, -0.0, 
 
 @settings(max_examples=200, deadline=None)
 @given(figure_tables())
-@example((SweepTable(("a_m", "x", "y"), np.column_stack((EDGE_CELLS[1:], EDGE_CELLS[:-1],
-                                                        EDGE_CELLS[:0:-1]))),
-          {"command": "fig1", "points": 12, "a_min_um": 0.15, "format": "json"}, 1e6, "a_um"))
-@example((SweepTable(("T2_K", "v"), np.column_stack((EDGE_CELLS, np.negative(EDGE_CELLS)))),
-          {}, 1.0, "T2_K"))
+@example((np.column_stack((EDGE_CELLS[1:], EDGE_CELLS[:-1], EDGE_CELLS[:0:-1])), ("a_um", "x", "y"),
+          {"command": "fig1", "points": 12, "a_min_um": 0.15, "format": "json"}, 1e6))
+@example((np.column_stack((EDGE_CELLS, np.negative(EDGE_CELLS))), ("T2_K", "v"), {}, 1.0))
 def test_table_text_equals_the_reference(case):
-    table, cfg, scale, name = case
+    values, columns, cfg, scale = case
+    values = values.copy()
+    values[:, 0] *= scale  # column 0 in CLI units, as fig1 and fig2 scale it
     for fmt in ("json", "csv"):
-        got = cli._emit_table(table, cfg, fmt, scale, name)
-        assert got == _table_text_reference(table, cfg, fmt, scale, name)
+        got = cli._emit_table(values, columns, cfg, fmt)
+        assert got == _table_text_reference(values, columns, cfg, fmt)
 
 
 def _csv_paths(counts):
@@ -768,12 +797,12 @@ CSV_POWERS.append((9.9999999951e15, -9.999999996e-05, 9.9999999996e98))
 @example([(9.9999999999e99, 1e-150, 2.5e300)])  # three-digit exponents
 @example([(0.0, -0.0, 0.0), (-0.0, 1.0, -1.0)])
 def test_csv_kernel_prints_the_reference_text(rows):
-    table = SweepTable(("a_m", "x", "y"), np.array(rows))
+    values, columns = np.array(rows), ("a_um", "x", "y")
     counts = collections.Counter()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "_csv_body", _csv_paths(counts))
-        text = cli._emit_table(table, {}, "csv", 1.0, "a_um")
-    assert text == _table_text_reference(table, {}, "csv", 1.0, "a_um")
+        text = cli._emit_table(values, columns, {}, "csv")
+    assert text == _table_text_reference(values, columns, {}, "csv")
     cells = np.ravel(rows).tolist()
     distance = min(_tie_distance(x) for x in cells)
     three_digit_exponent = any(len(f"{x:.8e}".split("e")[1]) > 3 for x in cells)

@@ -155,8 +155,6 @@ class TestQuantityConstructors:
         "te_zero_frequency_asymptotic": lambda R: te_zero_frequency_asymptotic(1e-6, 300.0, R, 136e-9),
         "delta_force_sphere":
             lambda R: delta_force_sphere(1e-6, TemperaturePair(300.0, 350.0), R, 136e-9),
-        "sweep_temperature":
-            lambda R: sweep_temperature(1e-6, 136e-9, R, SweepSpec(300.0, 350.0, 3)),
         "sphere_plate_force_pfa": lambda R: sphere_plate_force_pfa(1e-6, 300.0, R, Plasma(136e-9)),
         "te_zero_frequency_sphere_term":
             lambda R: te_zero_frequency_sphere_term(1e-6, 300.0, R, 136e-9),

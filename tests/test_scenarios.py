@@ -112,29 +112,33 @@ class TestDeltaForceSphere:
 class TestSweepSeparation:
     def test_plates_magnitude_decreasing_real_constant_ideal(self):
         grid = SweepSpec(0.15e-6, 2e-6, 20)
-        table = sweep_separation(PAIR, AU_LP, ParallelPlates(), grid=grid)
-        real = np.abs(table.values[:, 1])
-        ideal = table.values[:, 2]
+        values = sweep_separation(PAIR, AU_LP, ParallelPlates(), grid=grid)
+        real = np.abs(values[:, 1])
+        ideal = values[:, 2]
         assert np.all(real[:-1] > real[1:])
         assert len(set(ideal.tolist())) == 1
 
     def test_sphere_ideal_column_also_decreasing(self):
         grid = SweepSpec(0.15e-6, 2e-6, 20)
-        table = sweep_separation(PAIR, AU_LP, SpherePlate(1e-3), grid=grid)
-        ideal = np.abs(table.values[:, 2])
+        values = sweep_separation(PAIR, AU_LP, SpherePlate(1e-3), grid=grid)
+        ideal = np.abs(values[:, 2])
         assert np.all(ideal[:-1] > ideal[1:])
 
-    def test_sphere_per_radius_independent_of_R(self):
-        grid = SweepSpec(0.3e-6, 1e-6, 5)
-        t1 = sweep_separation(PAIR, AU_LP, SpherePlate(1e-3), grid=grid)
-        t2 = sweep_separation(PAIR, AU_LP, SpherePlate(2e-3), grid=grid)
-        assert t1.values.tobytes() == t2.values.tobytes()
+    @pytest.mark.parametrize("approach", [PLASMA, MOD_TE])
+    def test_sphere_per_radius_independent_of_R(self, approach):
+        # radii whose ratios are not powers of two, down to 1e-300 m: dividing
+        # delta_F at R by R would differ from R = 1 m in the last bit or worse
+        grid = SweepSpec(0.15e-6, 2e-6, 500)
+        ref = sweep_separation(PAIR, AU_LP, SpherePlate(1.0), approach, grid)
+        for R in (1e-3, 0.7e-3, 4.9e-3, 1e-300):
+            values = sweep_separation(PAIR, AU_LP, SpherePlate(R), approach, grid)
+            assert values.tobytes() == ref.tobytes()
 
     def test_default_grid_75_points(self):
-        table = sweep_separation(PAIR, AU_LP, ParallelPlates())
-        assert table.values.shape == (75, 3)
-        assert table.values[0, 0] == pytest.approx(0.15e-6)
-        assert table.values[-1, 0] == pytest.approx(2e-6)
+        values = sweep_separation(PAIR, AU_LP, ParallelPlates())
+        assert values.shape == (75, 3)
+        assert values[0, 0] == pytest.approx(0.15e-6)
+        assert values[-1, 0] == pytest.approx(2e-6)
 
     @pytest.mark.parametrize("points", [1, 5])
     @pytest.mark.parametrize("start", [0.0, -1e-6])
@@ -146,18 +150,18 @@ class TestSweepSeparation:
 
 class TestSweepTemperature:
     def test_endpoint_zero_and_columns(self):
-        table = sweep_temperature(0.5e-6, AU_LP)
-        assert table.values.shape == (51, 4)
-        first = table.values[0]
+        values = sweep_temperature(0.5e-6, AU_LP)
+        assert values.shape == (51, 4)
+        first = values[0]
         assert first[0] == 300.0
         assert first[1] == first[2] == first[3] == 0.0
 
     def test_modified_te_changes_fastest(self):
-        _, plasma, mod_te, _ = sweep_temperature(0.5e-6, AU_LP).values.T
+        _, plasma, mod_te, _ = sweep_temperature(0.5e-6, AU_LP).T
         assert np.all(np.abs(np.diff(mod_te)) > np.abs(np.diff(plasma)))
 
     def test_ideal_practically_coincides_with_plasma(self):
-        _, plasma, mod_te, ideal = sweep_temperature(0.5e-6, AU_LP).values[1:].T
+        _, plasma, mod_te, ideal = sweep_temperature(0.5e-6, AU_LP)[1:].T
         assert np.all(np.abs(ideal - plasma) < 0.1 * np.abs(mod_te - plasma))
 
     @pytest.mark.parametrize("points", [1, 5])
@@ -181,10 +185,10 @@ class TestSweepSpec:
         for stop in (1e-6, 5.0, 0.0, -5.0):
             grid = SweepSpec(1e-6, stop, 1)
             assert grid.stop == grid.start == 1e-6
-            table = sweep_separation(PAIR, AU_LP, ParallelPlates(), grid=grid)
-            assert table.values[:, 0].tolist() == [1e-6]
-        table = sweep_temperature(0.5e-6, AU_LP, grid=SweepSpec(300.0, 200.0, 1))
-        assert table.values[:, 0].tolist() == [300.0]
+            values = sweep_separation(PAIR, AU_LP, ParallelPlates(), grid=grid)
+            assert values[:, 0].tolist() == [1e-6]
+        values = sweep_temperature(0.5e-6, AU_LP, grid=SweepSpec(300.0, 200.0, 1))
+        assert values[:, 0].tolist() == [300.0]
 
     @pytest.mark.parametrize("start,stop", [
         (1e-6, math.inf), (math.nan, 2e-6), (-math.inf, 2e-6), (1e-6, math.nan),
@@ -203,16 +207,16 @@ class TestSweepSpec:
         # bit for bit: geometric over separation, linear over T2
         a = np.geomspace(0.15e-6, 2e-6, points)
         for geometry in (ParallelPlates(), SpherePlate(1e-3)):
-            table = sweep_separation(PAIR, AU_LP, geometry, grid=SweepSpec(0.15e-6, 2e-6, points))
-            assert table.values[:, 0].tobytes() == a.tobytes()
+            values = sweep_separation(PAIR, AU_LP, geometry, grid=SweepSpec(0.15e-6, 2e-6, points))
+            assert values[:, 0].tobytes() == a.tobytes()
         T2 = np.linspace(300.0, 350.0, points)
-        table = sweep_temperature(0.5e-6, AU_LP, grid=SweepSpec(300.0, 350.0, points))
-        assert table.values[:, 0].tobytes() == T2.tobytes()
+        values = sweep_temperature(0.5e-6, AU_LP, grid=SweepSpec(300.0, 350.0, points))
+        assert values[:, 0].tobytes() == T2.tobytes()
 
 
 class TestSweepEqualsScalar:
-    """Every sweep cell is the scalar closed form's float (over R for the
-    sphere), signed zeros included, so the cells are compared by repr."""
+    """Every sweep cell is the scalar closed form's float (the sphere's at
+    R = 1 m), signed zeros included, so the cells are compared by repr."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -222,23 +226,22 @@ class TestSweepEqualsScalar:
         t1=st.floats(min_value=1.0, max_value=400.0),
         t2=st.floats(min_value=1.0, max_value=400.0),
         lam=st.sampled_from([0.0, AU_LP]) | st.floats(min_value=1e-9, max_value=500e-9),
-        R=st.floats(min_value=1e-4, max_value=1e-2),
     )
     # at 0.473 um CPython's a ** 2 (libm pow) is not the exact square a * a
-    @example(start=0.473e-6, ratio=2.0, points=1, t1=300.0, t2=350.0, lam=AU_LP, R=1e-3)
-    @example(start=0.15e-6, ratio=2.0, points=5, t1=320.0, t2=320.0, lam=AU_LP, R=1e-3)
-    def test_separation_sweep(self, start, ratio, points, t1, t2, lam, R):
+    @example(start=0.473e-6, ratio=2.0, points=1, t1=300.0, t2=350.0, lam=AU_LP)
+    @example(start=0.15e-6, ratio=2.0, points=5, t1=320.0, t2=320.0, lam=AU_LP)
+    def test_separation_sweep(self, start, ratio, points, t1, t2, lam):
         grid = SweepSpec(start, start * ratio, points)
         pair = TemperaturePair(t1, t2)
-        table = sweep_separation(pair, lam, ParallelPlates(), grid=grid)
-        for a, real, ideal in table.values.tolist():
+        values = sweep_separation(pair, lam, ParallelPlates(), grid=grid)
+        for a, real, ideal in values.tolist():
             assert repr(real) == repr(delta_force_plates(a, pair, lam))
             assert repr(ideal) == repr(delta_force_plates(a, pair, 0.0))
         for approach in (PLASMA, MOD_TE):
-            table = sweep_separation(pair, lam, SpherePlate(R), approach, grid)
-            for a, real, ideal in table.values.tolist():
+            values = sweep_separation(pair, lam, SpherePlate(1e-3), approach, grid)
+            for a, real, ideal in values.tolist():
                 for value, lam_ in ((real, lam), (ideal, 0.0)):
-                    scalar = delta_force_sphere(a, pair, R, lam_, approach) / R
+                    scalar = delta_force_sphere(a, pair, 1.0, lam_, approach)
                     assert repr(value) == repr(scalar)
 
     @settings(max_examples=40, deadline=None)
@@ -248,16 +251,15 @@ class TestSweepEqualsScalar:
         rise=st.floats(min_value=0.001, max_value=100.0),
         points=st.integers(min_value=1, max_value=30),
         lam=st.sampled_from([0.0, AU_LP]) | st.floats(min_value=1e-9, max_value=500e-9),
-        R=st.floats(min_value=1e-4, max_value=1e-2),
     )
-    @example(a=0.473e-6, t1=300.0, rise=50.0, points=51, lam=AU_LP, R=1e-3)
-    def test_temperature_sweep(self, a, t1, rise, points, lam, R):
-        table = sweep_temperature(a, lam, R, SweepSpec(t1, t1 + rise, points))
-        for T2, plasma, mod_te, ideal in table.values.tolist():
+    @example(a=0.473e-6, t1=300.0, rise=50.0, points=51, lam=AU_LP)
+    def test_temperature_sweep(self, a, t1, rise, points, lam):
+        values = sweep_temperature(a, lam, SweepSpec(t1, t1 + rise, points))
+        for T2, plasma, mod_te, ideal in values.tolist():
             pair = TemperaturePair(t1, T2)
             for value, lam_, approach in ((plasma, lam, PLASMA), (mod_te, lam, MOD_TE),
                                           (ideal, 0.0, PLASMA)):
-                scalar = delta_force_sphere(a, pair, R, lam_, approach) / R
+                scalar = delta_force_sphere(a, pair, 1.0, lam_, approach)
                 assert repr(value) == repr(scalar)
 
 
