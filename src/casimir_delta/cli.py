@@ -3,10 +3,7 @@ validation report, in CSV or JSON.
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 validation
 failure. Identical configs produce byte-identical output (floats fixed at 9
-significant digits).
-
-Parsing (left out of --help): a line that starts with a command name is parsed
-once, by that command's own parser; the root parser takes every other line."""
+significant digits)."""
 
 from __future__ import annotations
 
@@ -176,7 +173,7 @@ def _add_a_grid(p: argparse.ArgumentParser) -> None:
 
 @functools.cache  # the tree is never mutated after it is built; parse_args makes fresh namespaces
 def build_parser() -> _Parser:
-    parser = _Parser(prog="casimir-delta", description=__doc__.split("\n\nParsing")[0])
+    parser = _Parser(prog="casimir-delta", description=__doc__)
     parser.add_argument("--version", action="version", version=f"casimir-delta {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     # fig1 has no sphere, and fig3 prints both prescriptions

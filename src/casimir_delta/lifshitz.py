@@ -80,12 +80,13 @@ ABSOLUTE_FLOOR = 1e-300  # absolute quadrature tolerance; see QuadratureSpec
 
 @dataclass(frozen=True)
 class ParallelPlates:
-    """Two parallel half-spaces; results are per unit area (N/m^2, J/m^2)."""
+    """Tag for scenarios.sweep_separation's plate columns; no engine function takes a tag."""
 
 
 @dataclass(frozen=True)
 class SpherePlate:
-    """Sphere of radius R above a plate; results are total force (N)."""
+    """Tag for the sweep's sphere columns, per unit radius: R is checked, never read.
+    Both tags stay because perfbench/reference_figures.py builds them."""
 
     R: float  # m
 

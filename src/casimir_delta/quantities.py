@@ -94,9 +94,9 @@ def finite(what: str, inputs: dict, evaluate, *args, grid=None):
     OverflowError or ZeroDivisionError, or the engine's FloatingPointError
     for an order integral that is not finite), is a ValueError
     "<inputs> give a non-finite <what>" that names each of `inputs` (label
-    to value) with its value and unit. Columns over a grid pass the scalar
-    inputs and grid=(label, points): a cell that is not finite then adds
-    " at <label> <point>", the first grid point with one."""
+    to value) with its value and unit. A sweep's evaluate builds its finished
+    (points x columns) table, checked whole, and grid=(label, points) adds
+    " at <label> <point>" for the first row with a cell that is not finite."""
 
     def named(label, value):  # temperatures are in K, every other input is a length in m
         return f"{label} {float(value)!r} {'K' if label.startswith('temperature') else 'm'}"
@@ -109,7 +109,7 @@ def finite(what: str, inputs: dict, evaluate, *args, grid=None):
             return values
         if grid is not None:
             label, points = grid
-            at = " at " + named(label, points[np.isfinite(values).all(axis=0).argmin()])
+            at = " at " + named(label, points[np.isfinite(values).all(axis=1).argmin()])
     except ArithmeticError:
         pass
     inputs = ", ".join(named(label, value) for label, value in inputs.items())

@@ -157,8 +157,8 @@ def sweep_separation(
     once (the grid's least separation is its start) and each column is one
     elementwise pass of the closed form over the grid; every cell equals
     the scalar delta_force_* value (the sphere's at R = 1.0) bit for bit.
-    Inputs for which a cell is not finite are a ValueError that names the
-    scalar inputs and the first separation with such a cell."""
+    Inputs for which a cell of the finished table is not finite are one
+    ValueError, naming the scalar inputs and the first such row's separation."""
     positive("separation", grid.start)
     a = np.geomspace(grid.start, grid.stop, grid.points)
     delta = skin_depth_parameter(lambda_p)
@@ -170,9 +170,8 @@ def sweep_separation(
         def column(depth):
             return _sphere_difference(a, T1, T2, 1.0, *gap_scales(a, depth), approach)
     inputs = {"temperature T1": T1, "temperature T2": T2, "plasma wavelength": lambda_p}
-    values = finite("difference force", inputs, lambda: (column(delta), column(0.0)),
-                    grid=("separation", a))
-    return np.column_stack((a, *values))
+    return finite("difference force", inputs,
+                  lambda: np.column_stack((a, column(delta), column(0.0))), grid=("separation", a))
 
 
 def sweep_temperature(
@@ -187,9 +186,9 @@ def sweep_temperature(
     The grid is np.linspace(start, stop, points), and T1 is its start, so
     the first row is T2 = T1. As in sweep_separation, the inputs are checked
     once, each column is one elementwise pass over the T2 grid, equal to
-    the scalar values, and inputs for which a cell is not finite are a
-    ValueError that names the scalar inputs and the first T2 with such a
-    cell."""
+    the scalar values, and inputs for which a cell of the finished table is
+    not finite are one ValueError, naming the scalar inputs and the first
+    such row's T2."""
     T1 = positive("temperature", grid.start)
     T2 = np.linspace(T1, grid.stop, grid.points)
     a = positive("separation", a)
@@ -199,10 +198,7 @@ def sweep_temperature(
         (delta, ApproachVariant.MODIFIED_TE),
         (0.0, ApproachVariant.PLASMA_ZERO_FREQUENCY),
     )
-    values = finite(
-        "difference force",
-        {"separation": a, "temperature T1": T1, "plasma wavelength": lambda_p},
-        lambda: tuple(_sphere_difference(a, T1, T2, 1.0, *gap_scales(a, depth), approach)
-                      for depth, approach in cases),
-        grid=("temperature T2", T2))
-    return np.column_stack((T2, *values))
+    inputs = {"separation": a, "temperature T1": T1, "plasma wavelength": lambda_p}
+    return finite("difference force", inputs, lambda: np.column_stack((T2, *(
+        _sphere_difference(a, T1, T2, 1.0, *gap_scales(a, depth), approach)
+        for depth, approach in cases))), grid=("temperature T2", T2))

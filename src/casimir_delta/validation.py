@@ -32,8 +32,6 @@ from .perturbative import (
 )
 from .quantities import CODATA2018
 from .scenarios import (
-    DEFAULT_SEPARATION_GRID,
-    DEFAULT_TEMPERATURE_GRID,
     TemperaturePair,
     delta_force_plates,
     delta_force_sphere,
@@ -121,7 +119,7 @@ def _contrast(approach: ApproachVariant) -> float:
 
 
 def _ideal_vs_plasma_fig3() -> float:
-    values = sweep_temperature(0.5e-6, AU_LAMBDA_P, DEFAULT_TEMPERATURE_GRID)
+    values = sweep_temperature(0.5e-6, AU_LAMBDA_P)
     # the first row, T2 = T1, is exactly zero in both columns
     _, pl, _, ideal = values[1:].T
     return float(np.max(np.abs(ideal - pl) / np.abs(pl)))
@@ -170,7 +168,7 @@ def _ideal_plate_values() -> float:
 
 def _monotone() -> float:
     def decreasing(geometry) -> bool:
-        values = sweep_separation(PAIR, AU_LAMBDA_P, geometry, grid=DEFAULT_SEPARATION_GRID)
+        values = sweep_separation(PAIR, AU_LAMBDA_P, geometry)
         mags = np.abs(values[:, 1])
         return bool(np.all(mags[:-1] > mags[1:]))
 

@@ -795,6 +795,8 @@ CSV_POWERS.append((9.9999999951e15, -9.999999996e-05, 9.9999999996e98))
 @example([(9.999999995e-05, 99999999.95, -99999999.95)])  # round up across a power of ten, near ties
 @example([(1e31, -1e-31, 4.4e55), (7.7e-77, 1e99, -1e-99), (9.87654321e98, 1.23456789e-98, 5.5e31)])
 @example([(9.9999999999e99, 1e-150, 2.5e300)])  # three-digit exponents
+# two-digit exponents that carry to e = 100, 1.00000000e+100, after the first range check
+@example([(9.9999999996e99, -9.9999999996e99, 1.0)])
 @example([(0.0, -0.0, 0.0), (-0.0, 1.0, -1.0)])
 def test_csv_kernel_prints_the_reference_text(rows):
     values, columns = np.array(rows), ("a_um", "x", "y")
