@@ -1,9 +1,9 @@
 """Full finite-temperature Lifshitz engine.
 
 Evaluates the Matsubara sum numerically. Each order's integral over the
-transverse wavevector uses a fixed exp-sinh double-exponential rule whose
-step is halved until the nested sums at h and 2h agree to the quadrature
-tolerance; whole blocks of orders are evaluated as one numpy array. A cold
+transverse wavevector uses one fixed 129-node exp-sinh double-exponential
+rule, checked against its nested 65-node sum; whole blocks of orders are
+evaluated as one numpy array. A cold
 sum, which the tail rule would stop only after hundreds to tens of thousands
 of orders, is summed explicitly for a 64-order head and closed with the
 Euler-Maclaurin formula, whose integral over the continuous order runs on
@@ -63,10 +63,13 @@ class QuadratureSpec:
 
     The integration variable is the dimensionless y = 2*a*q; the integrand
     decays like exp(-y). relative_tolerance bounds, for each Matsubara order
-    and for the zero-frequency TE term, the change of the sum when the rule's
-    step is halved, relative to the integral; the finer sum is kept. Either
-    also passes when the change is at most ABSOLUTE_FLOOR. The orders' exp-sinh
-    rule converges double-exponentially, so its own error is far smaller.
+    and for the zero-frequency TE term, the integral's error relative to the
+    integral, estimated from its change against the rule at twice the step.
+    The orders' exp-sinh rule, whose error about squares when its step is
+    halved, takes the square of that relative change; a tolerance below the
+    rounding of its sums, 129 x eps ~ 2.9e-14, is a QuadratureError. The
+    zero-frequency TE term takes the relative change itself. Either also
+    passes when the change is at most ABSOLUTE_FLOOR.
     """
 
     relative_tolerance: float = 1e-9
@@ -96,83 +99,50 @@ class SpherePlate:
 
 # Exp-sinh rule (Takahasi & Mori, Publ. RIMS Kyoto Univ. 9, 721 (1974)) for
 # the integral of order n over [y_n, inf): y = y_n + s, s = exp(pi/2 sinh t),
-# trapezoid sums in t over [-4.5, 2]. The ends hold s ~ 2e-31 and s ~ 300,
-# where the integrands are negligible. The first level has 128 steps; each
-# further level halves the step and adds the midpoints, so every level's sum
-# nests the one before it.
-_T_RANGE = (-4.5, 2.0)
-_FIRST_STEPS = 128
-_LEVELS = 5
-
-
-def _exp_sinh_level(level: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """Step h, abscissae s and weights ds/dt of the nodes a level adds."""
-    lo, hi = _T_RANGE
-    steps = _FIRST_STEPS << level
-    h = (hi - lo) / steps
-    k = np.arange(steps + 1) if level == 0 else np.arange(1, steps, 2)
-    t = lo + k * h
-    s = np.exp(0.5 * math.pi * np.sinh(t))
-    return h, s, 0.5 * math.pi * np.cosh(t) * s
-
-
-_NODES = tuple(_exp_sinh_level(level) for level in range(_LEVELS))
-# Orders per block: (orders x nodes) temporaries stay at or under this many
-# elements (0.5 MB) when the finest level adds its 1024 nodes.
-_BLOCK_ELEMENTS = 1 << 16
-_MAX_BLOCK = _BLOCK_ELEMENTS // _NODES[-1][1].size
+# one trapezoid sum in t over [-4.5, 2] at 128 steps. The ends hold s ~ 2e-31
+# and s ~ 300, where the integrands are negligible.
+_STEP = 6.5 / 128
+_T = -4.5 + np.arange(129) * _STEP
+_NODES = np.exp(0.5 * math.pi * np.sinh(_T))  # s
+_WEIGHTS = 0.5 * math.pi * np.cosh(_T) * _NODES  # ds/dt
+# With r^2 <= 1 both integrands keep one sign, so a sum's rounding is at most
+# nodes x eps of it: no quadrature tolerance below this can be met.
+_ROUNDING = _NODES.size * np.finfo(float).eps
+_MAX_BLOCK = 64  # orders per block
 # A sum not stopped within this many orders is closed analytically.
 _CLOSE_AFTER = 4 * _MAX_BLOCK
 
 
-def _order_integrals(
-    grid: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    u: np.ndarray,
-    quadrature: QuadratureSpec,
-    label: str,
-    values: np.ndarray | None = None,
-) -> np.ndarray:
-    """Int_0^inf g(u_i + s) ds for each lower limit u_i (a column).
+def _order_integrals(values: np.ndarray, quadrature: QuadratureSpec, label: str) -> np.ndarray:
+    """The rule's sum for each row of values, an (orders x nodes) block.
 
-    grid(lower, s) evaluates g on the (orders x nodes) array. values, if
-    given, is grid(u, s) at the first level's nodes, computed by the caller
-    (the cold close shares that pass with other limits); grid then runs only
-    for the finer levels. Each order's sum at step h is checked against the
-    nested sum at 2h; the orders that disagree by more than the quadrature
-    tolerance get the next level's nodes, and QuadratureError is raised past
-    the finest level; a value that is not finite never converges, and is a
-    FloatingPointError there.
+    Each row's sum at step h is checked against the nested sum at 2h on every
+    other node. Halving a double-exponential step about squares the rule's
+    relative error (Mori & Sugihara, J. Comput. Appl. Math. 127, 287 (2001)),
+    so a row passes when its change squared is at most the quadrature
+    tolerance times its sum squared, or the change is at most ABSOLUTE_FLOOR.
+    A row that fails is a QuadratureError, as is a tolerance below the sums'
+    rounding; a value that is not finite fails, and is a FloatingPointError.
     """
+    tol = quadrature.relative_tolerance
+    if tol < _ROUNDING:
+        raise QuadratureError(f"{label}: quadrature tolerance {tol:.2e} is below the rule's "
+                              f"rounding, {_ROUNDING:.2e}")
     # the sums over nodes are einsum, not @: a BLAS dgemv rounds differently
     # on each CPU kernel OpenBLAS picks, and the engine's values must not
     # depend on the machine
-    h, s, w = _NODES[0]
-    if values is None:
-        values = grid(u, s)
-    total = np.einsum("ij,j->i", values, w)
-    result = h * total
-    coarse = 2.0 * h * np.einsum("ij,j->i", values[:, ::2], w[::2])
-    rows = slice(None)  # the whole block; index arrays only for the rows that refine
-    for level in range(1, _LEVELS + 1):
-        fine = result[rows]
-        gap = np.abs(fine - coarse)
-        # written so that a NaN counts as unmet
-        unmet = ~(gap <= np.maximum(quadrature.relative_tolerance * np.abs(fine), ABSOLUTE_FLOOR))
-        if not unmet.any():
-            return result
-        rows = np.flatnonzero(unmet) if level == 1 else rows[unmet]
-        if level == _LEVELS:
-            if not np.isfinite(result[rows]).all():
-                raise FloatingPointError(f"{label}: an order integral is not finite")
-            i = rows[0]
-            raise QuadratureError(
-                f"{label} y_n={u[i, 0]:.3e}: not converged at the finest step "
-                f"(value={result[i]:.6e}, change on halving the step={gap[unmet][0]:.2e})"
-            )
-        h, s, w = _NODES[level]
-        coarse = result[rows]
-        total[rows] += np.einsum("ij,j->i", grid(u[rows], s), w)
-        result[rows] = h * total[rows]
+    result = _STEP * np.einsum("ij,j->i", values, _WEIGHTS)
+    change = np.abs(result - 2.0 * _STEP * np.einsum("ij,j->i", values[:, ::2], _WEIGHTS[::2]))
+    # change^2 <= tol result^2 as change <= sqrt(tol) |result|, which no square
+    # underflows; written so that a NaN counts as unmet
+    unmet = ~(change <= np.maximum(math.sqrt(tol) * np.abs(result), ABSOLUTE_FLOOR))
+    if unmet.any():
+        if not np.isfinite(result[unmet]).all():
+            raise FloatingPointError(f"{label}: an order integral is not finite")
+        i = unmet.argmax()
+        raise QuadratureError(f"{label}: not converged (value={result[i]:.6e}, "
+                              f"change on halving the step={change[i]:.2e})")
+    return result
 
 
 def _matsubara_sum(
@@ -218,8 +188,9 @@ def _matsubara_sum(
     bounds = [*range(0, min(stop, head), block), *range(stop, head, block), head]
     ideal = isinstance(model, IdealMetal)
 
-    def grid(lower: np.ndarray, s: np.ndarray) -> np.ndarray:
-        y = lower + s
+    def grid(lower: np.ndarray) -> np.ndarray:
+        """The integrand at the rule's nodes past each lower limit (a column)."""
+        y = lower + _NODES
         r_tm, r_te = fresnel_coefficients(model, lower, y, 2.0 * a)
         r_tm *= r_tm  # squared in place; the ideal metal's floats rebind
         r_te *= r_te
@@ -237,8 +208,8 @@ def _matsubara_sum(
     def orders(u: np.ndarray) -> np.ndarray:
         """The order integral at each lower limit in u, in blocks of _MAX_BLOCK limits."""
         if u.size <= _MAX_BLOCK:
-            return _order_integrals(grid, u[:, None], quadrature, label)
-        return np.concatenate([_order_integrals(grid, u[i:i + _MAX_BLOCK, None], quadrature, label)
+            return _order_integrals(grid(u[:, None]), quadrature, label)
+        return np.concatenate([_order_integrals(grid(u[i:i + _MAX_BLOCK, None]), quadrature, label)
                                for i in range(0, u.size, _MAX_BLOCK)])
 
     total, last = 0.0, np.empty(0)
@@ -262,32 +233,25 @@ def _matsubara_sum(
     # order integral at a continuous lower limit: sum_{n>=N} f(n) =
     # (1/y1) Int_{N y1}^inf F(u) du + f(N)/2 - f'(N)/12 + f'''(N)/720, the
     # derivatives by central differences over orders N-2..N+2. One orders()
-    # pass evaluates f(N), f(N+1), f(N+2) and F at the outer rule's
-    # first-level limits edge + s, edge = N y1. The rule's smallest s (from
-    # 2e-31 up) lie below half an ulp of the edge, so the first dozen or so
-    # limits round to the edge itself: they take f(N) and are not passed.
+    # pass evaluates f(N), f(N+1), f(N+2) and F at the outer rule's limits
+    # edge + s, edge = N y1, whose sum is the outer integral. The rule's
+    # smallest s (from 2e-31 up) lie below half an ulp of the edge, so the
+    # first dozen or so limits round to the edge itself: they take f(N) and
+    # are not passed.
     edge = head * y1
-    limits = edge + _NODES[0][1]
+    limits = edge + _NODES
     same = int(np.searchsorted(limits, edge, side="right"))
     first = orders(np.concatenate((np.arange(head, head + 3) * y1, limits[same:])))
     f = np.concatenate((last, first[:3])).tolist()
     d1 = (f[0] - 8.0 * f[1] + 8.0 * f[3] - f[4]) / 12.0
     d3 = (-f[0] + 2.0 * f[1] - 2.0 * f[3] + f[4]) / 2.0
-    nodes = limits.size
-
-    def outer(lower: np.ndarray, s: np.ndarray) -> np.ndarray:
-        nonlocal nodes
-        nodes += s.size
-        return orders((lower + s).ravel())[None, :]
-
     values = np.concatenate((np.full(same, first[0]), first[3:]))[None, :]
-    integral = float(_order_integrals(outer, np.array([[edge]]), quadrature, f"{label} tail",
-                                      values)[0])
+    integral = float(_order_integrals(values, quadrature, f"{label} tail")[0])
     last_correction = d3 / 720.0
     total += integral / y1 + f[2] / 2.0 - d1 / 12.0 + last_correction
     _log.debug(
-        "%s: closed after %d explicit orders, %d outer nodes, last Euler-Maclaurin "
-        "correction %.2e of the sum", label, head, nodes, abs(last_correction / total),
+        "%s: closed after %d explicit orders, last Euler-Maclaurin correction %.2e of the sum",
+        label, head, abs(last_correction / total),
     )
     return total
 

@@ -220,13 +220,19 @@ class TestTolerances:
         assert (oracle["tail_tolerance"], oracle["quadrature_tolerance"]) == (1e-6, 1e-7)
 
     def test_unreachable_quadrature_tolerance_is_numerical_error(self, capsys):
-        # valid, but below double-precision rounding: the step refinement
-        # runs out of levels and reports it instead of looping
-        rc, out, err = run(capsys, "compute", "--oracle", "--geometry", "plates",
-                           "--quad-tol", "1e-17")
-        assert rc == 2
-        assert out == ""
-        assert err.startswith("numerical error:")
+        # valid, but below the rounding of the rule's sums, 129 x eps ~ 2.9e-14:
+        # no order can meet it, and the engine says so at once
+        for tol in ("1e-17", "1e-14"):
+            rc, out, err = run(capsys, "compute", "--oracle", "--geometry", "plates",
+                               "--quad-tol", tol)
+            assert rc == 2
+            assert out == ""
+            assert err.startswith("numerical error:") and err.count("\n") == 1
+
+    def test_quadrature_tolerance_above_the_rounding_is_met(self, capsys):
+        rc, out, _ = run(capsys, "compute", "--oracle", "--quad-tol", "3e-14")
+        assert rc == 0
+        assert json.loads(out)["oracle"]["quadrature_tolerance"] == 3e-14
 
 
 class TestConfigFile:

@@ -221,9 +221,9 @@ def temperature_at(a, inv_y1):
 
 def close_first_pass(y1):
     """The lower limits of the close's first orders() pass after a 64-order
-    head, as a column: orders 64..66, then the outer rule's first-level limits
-    past the edge 64 y1."""
-    limits = 64 * y1 + lifshitz._NODES[0][1]
+    head, as a column: orders 64..66, then the outer rule's limits past the
+    edge 64 y1."""
+    limits = 64 * y1 + lifshitz._NODES
     return np.concatenate((np.arange(64, 67) * y1, limits[limits > 64 * y1]))[:, None]
 
 
@@ -274,9 +274,9 @@ class TestEulerMaclaurinClose:
             plate_pressure(0.15e-6, 1.0, AU)
         [record] = caplog.records
         assert record.levelno == logging.DEBUG
-        label, head, nodes, correction = record.args
+        label, head, correction = record.args
         assert (label, head) == ("pressure", 64)
-        assert nodes >= 129 and 0.0 < correction < 1e-9
+        assert 0.0 < correction < 1e-9
 
     def test_cold_sum_evaluates_few_orders(self, monkeypatch):
         # a count of distinct lower limits (orders and outer nodes), not a
@@ -365,29 +365,25 @@ class TestEulerMaclaurinClose:
         (lambda: sphere_plate_force_pfa(0.175e-6, 290.0, 1e-3, AU), "-3.3696380023335697e-10"),
         (lambda: sphere_plate_force_pfa(1e-6, 1.82, 1e-3, AU), "-2.5044486965856783e-12"),
         (lambda: plate_free_energy_per_area(0.5e-6, 300.0, IdealMetal()), "-3.4795815031451294e-09"),
-        # at quad 1e-11, 27 of its 34 orders take the second level: past the
-        # check of the whole first level, rows that refine and rows that do not
-        (lambda: sphere_plate_force_pfa(0.5e-6, 300.0, 1e-3, AU, quadrature=QuadratureSpec(1e-11)),
-         "-1.8615337001775135e-11"),
     ], ids=["ideal-modified-te-low-edge", "gold-2K", "ideal-5K", "gold-room-blocks",
             "gold-modified-te-5K", "gold-modified-te-room-blocks",
             "gold-modified-te-free-energy-5K", "gold-modified-te-sphere-room-blocks",
             "ideal-modified-te-5K", "ideal-modified-te-room-blocks",
             "ideal-free-energy-5K", "ideal-sphere-room-blocks", "ideal-modified-te-sphere-2K",
             "gold-sphere-0.245um-300K", "gold-sphere-0.175um-290K", "gold-sphere-1um-1.82K",
-            "ideal-free-energy-0.5um-300K", "gold-sphere-quad-1e-11-refines"])
+            "ideal-free-energy-0.5um-300K"])
     def test_sum_unchanged(self, call, expected):
         # values from before the close shared its first orders() pass with
         # the outer rule, or as noted; the same with numpy's AVX-512 loops off
         assert repr(call()) == expected
 
     @staticmethod
-    def first_level_passes(monkeypatch):
-        """The lower limits of each fresnel_coefficients call on the first level's nodes."""
+    def rule_passes(monkeypatch):
+        """The lower limits of each fresnel_coefficients call on the rule's nodes."""
         passes = []
 
         def counting(model, u, y, *args):
-            if y.shape[-1] == lifshitz._NODES[0][1].size:
+            if y.shape[-1] == lifshitz._NODES.size:
                 passes.append(np.ravel(u).tolist())
             return fresnel_coefficients(model, u, y, *args)
 
@@ -396,9 +392,9 @@ class TestEulerMaclaurinClose:
 
     def test_cold_sum_makes_three_first_level_passes(self, monkeypatch):
         # the 64-order head, then orders N..N+2 and the outer rule's distinct
-        # first-level limits together, in two near-equal blocks; the limits
-        # that round to the edge reuse order N's integral
-        passes = self.first_level_passes(monkeypatch)
+        # limits together, in two near-equal blocks; the limits that round to
+        # the edge reuse order N's integral
+        passes = self.rule_passes(monkeypatch)
         plate_pressure(0.15e-6, 1.0, AU)
         limits = [x for p in passes for x in p]
         assert len(passes) == 3 and max(map(len, passes)) <= 64
@@ -409,7 +405,7 @@ class TestEulerMaclaurinClose:
         # estimates of 80.4 and 160.7 orders, which these sums stop by: the
         # block that would pass ceil(estimate) + 1 ends there (128 and 192
         # orders in whole 64-order blocks)
-        passes = self.first_level_passes(monkeypatch)
+        passes = self.rule_passes(monkeypatch)
         span = math.log(1.0 / MatsubaraSpec().relative_tail_tolerance)
         estimate = (span + 2.0 * math.log(span)) * inv_y1
         plate_pressure(1e-6, temperature_at(1e-6, inv_y1), AU)
@@ -589,25 +585,23 @@ class TestEngineInternals:
             for rsq in past + [rsq for lower, y, rsq in plasma_blocks]:
                 assert [type(r2) for r2 in rsq] == [float] and rsq == (1.0,)
 
-    @pytest.mark.parametrize("quad,refines", [(1e-9, False), (1e-12, True)])
+    @pytest.mark.parametrize("quad", [1e-9, 1e-12])
     @pytest.mark.parametrize("integrand", [lifshitz._pressure_integrand,
                                            lifshitz._free_energy_integrand],
                              ids=["pressure", "free-energy"])
-    def test_order_integrals_do_not_depend_on_the_block(self, integrand, quad, refines):
+    def test_order_integrals_do_not_depend_on_the_block(self, integrand, quad):
         # the cold close's first pass at 0.5 um, 1/y1 = 73: orders N..N+2 and
         # the outer rule's limits past the edge, which orders() runs in blocks
-        # of 64 and the rest; near-equal and one-row blocks give the same bits,
-        # also where rows take finer levels
+        # of 64 and the rest; near-equal and one-row blocks give the same bits
         a, u = 0.5e-6, close_first_pass(1.0 / 73.0)
-        refined = []
 
-        def grid(lower, s):
-            refined.append(s.size != lifshitz._NODES[0][1].size)
-            r_tm, r_te = fresnel_coefficients(AU, lower, lower + s, 2.0 * a)
-            return integrand(lower + s, (r_tm * r_tm, r_te * r_te))
+        def grid(lower):
+            y = lower + lifshitz._NODES
+            r_tm, r_te = fresnel_coefficients(AU, lower, y, 2.0 * a)
+            return integrand(y, (r_tm * r_tm, r_te * r_te))
 
         def split(cuts):
-            return np.concatenate([lifshitz._order_integrals(grid, u[i:j], QuadratureSpec(quad), "")
+            return np.concatenate([lifshitz._order_integrals(grid(u[i:j]), QuadratureSpec(quad), "")
                                    for i, j in zip(cuts, cuts[1:])])
 
         n = u.shape[0]
@@ -615,7 +609,88 @@ class TestEngineInternals:
         assert 64 == lifshitz._MAX_BLOCK < n < 128  # 119 limits: 64 + 55, 59 + 60 and 119 x 1
         assert_same_bits(split([0, n // 2, n]), plain)
         assert_same_bits(split(range(n + 1)), plain)
-        assert any(refined) is refines
+
+
+def exp_sinh(steps):
+    """Step, abscissae s and weights ds/dt of the exp-sinh trapezoid rule in t
+    over [-4.5, 2] at `steps` steps; each halving of the step nests the rule."""
+    h = 6.5 / steps
+    t = -4.5 + np.arange(steps + 1) * h
+    s = np.exp(0.5 * math.pi * np.sinh(t))
+    return h, s, 0.5 * math.pi * np.cosh(t) * s
+
+
+# the reference: the rule's step halved four times, 2,049 nodes
+FINE_STEP, FINE_NODES, FINE_WEIGHTS = exp_sinh(16 * 128)
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+class TestFixedRule:
+    """The engine's one 129-node exp-sinh rule, checked by its nested 65-node sum."""
+
+    def test_rule_nests_in_the_reference(self):
+        h, s, w = exp_sinh(128)
+        assert h == lifshitz._STEP
+        assert_same_bits(s, lifshitz._NODES)
+        assert_same_bits(w, lifshitz._WEIGHTS)
+        assert_same_bits(FINE_NODES[::16], lifshitz._NODES)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ratio=log_uniform(1e-3, 1e6), y1=log_uniform(1e-3, 30.0),
+           orders=st.lists(st.integers(0, 200), min_size=1, max_size=16, unique=True),
+           integrand=st.sampled_from([lifshitz._pressure_integrand,
+                                      lifshitz._free_energy_integrand]),
+           approach=st.sampled_from(list(ApproachVariant)))
+    # the 65-node sum of this row is off by 4.4e-10, past 1e-11
+    @example(ratio=1.0, y1=1.0, orders=[0], integrand=lifshitz._pressure_integrand,
+             approach=PLASMA)
+    def test_accepted_rows_are_within_the_tolerance_of_the_reference(
+            self, ratio, y1, orders, integrand, approach):
+        # lambda_p/a = ratio; at every tolerance, a row the rule accepts is
+        # within it of the reference. Rows whose reference is below 1e-290
+        # are left out: ABSOLUTE_FLOOR passes them whatever their error
+        a = 1e-6
+        u = np.array(orders, float)[:, None] * y1
+
+        def values(nodes):
+            y = u + nodes
+            r_tm, r_te = fresnel_coefficients(Plasma(ratio * a), u, y, 2.0 * a)
+            te2 = np.minimum(r_te * r_te, 1.0)
+            if approach is MOD_TE:
+                te2[u[:, 0] == 0.0] = 0.0
+            return integrand(y, (r_tm * r_tm, te2))
+
+        rows = values(lifshitz._NODES)
+        reference = FINE_STEP * np.einsum("ij,j->i", values(FINE_NODES), FINE_WEIGHTS)
+        for tol in (1e-7, 1e-9, 1e-11, 1e-13):
+            for row, ref in zip(rows, reference):
+                if abs(ref) < 1e-290:
+                    continue
+                try:
+                    [got] = lifshitz._order_integrals(row[None, :], QuadratureSpec(tol), "")
+                except lifshitz.QuadratureError:
+                    continue
+                assert abs(got - ref) <= tol * abs(ref), (tol, got, ref)
+
+    def test_values_do_not_depend_on_the_quadrature_tolerance(self):
+        # the rule is fixed: every tolerance it meets gives the same float
+        got = {plate_free_energy_per_area(0.398e-6, 300.0, AU, matsubara=MatsubaraSpec(1e-11),
+                                          quadrature=QuadratureSpec(quad))
+               for quad in (1e-7, 1e-9, 1e-11, 1e-13)}
+        assert len(got) == 1
+
+    def test_tolerance_below_the_rounding_raises(self):
+        # with r^2 <= 1 the integrands keep one sign, so a sum's rounding is
+        # at most 129 x eps ~ 2.9e-14 of it: no tighter tolerance can be met
+        assert lifshitz._ROUNDING == 129 * np.finfo(float).eps
+        assert 2.8e-14 < lifshitz._ROUNDING < 2.9e-14
+        value = plate_pressure(0.5e-6, 300.0, AU)
+        assert plate_pressure(0.5e-6, 300.0, AU, quadrature=QuadratureSpec(2.9e-14)) == value
+        with pytest.raises(lifshitz.QuadratureError, match="below the rule's rounding"):
+            plate_pressure(0.5e-6, 300.0, AU, quadrature=QuadratureSpec(2.8e-14))
 
 
 def textbook_fresnel(model, u, y, length):
@@ -682,7 +757,10 @@ class TestInPlaceBlocks:
         "one-row": np.zeros((1, 1)),
         "unordered": np.array([[0.0], [2.0], [0.01]]),
     }
-    NODES = {"first": lifshitz._NODES[0][1], "finest": lifshitz._NODES[-1][1]}
+    # the rule's nodes, and the 1,024 the reference adds at its finest step:
+    # a 64 x 1,024 block (512 KB) is past numpy's 256 KB threshold for
+    # reusing temporaries
+    NODES = {"first": lifshitz._NODES, "finest": FINE_NODES[1::2]}
     A = 0.3e-6
 
     @pytest.fixture(params=list(LOWER))
