@@ -47,8 +47,8 @@ class MatsubaraSpec:
     The n = 0 term carries weight 1/2. The sum stops once a geometric tail
     estimate drops below relative_tail_tolerance times the partial sum. A
     sum that would run past 256 orders is instead closed analytically after
-    64 (and one still running at 256 is closed there), which leaves far less
-    error than the tail tolerance.
+    64 (and one still running at 256 is closed there): an error floor of up
+    to ~1e-11 of the sum (9.9e-12 at tail 1e-14), far below the default 1e-9.
     """
 
     relative_tail_tolerance: float = 1e-9
@@ -291,9 +291,9 @@ def _free_energy_integrand(y: np.ndarray, rsq: tuple[np.ndarray, ...]) -> np.nda
     nodes ascend, so they lie in rows [:k] alone, k - 1 the last row whose
     first y is below 1 (1, not ln 2, leaves room for an r^2 an ulp past 1; the
     last row, not a count, as the close puts orders N..N+2 before its limits).
-    Only those rows take both branches and 1 - e^-y; the rest, and blocks
-    without such a node, run log1p unmasked. The block is built in place in arrays of
-    y's shape; r^2 broadcasts."""
+    log1p runs unmasked over the whole block, those rows' near-one nodes
+    clamped at x = 1/2 first, and the near-one log is written over them. The
+    block is built in place in arrays of y's shape; r^2 broadcasts."""
     e = -y
     np.exp(e, out=e)
     below = y[:, 0] < 1.0
@@ -302,20 +302,17 @@ def _free_energy_integrand(y: np.ndarray, rsq: tuple[np.ndarray, ...]) -> np.nda
         k = 0
     one_minus_e = None
     total, logs = np.zeros_like(y), np.empty_like(y)
-    low, rest = logs[:k], logs[k:]
+    low = logs[:k]
     for r2 in rsq:
         np.multiply(r2, e, out=logs)
-        near_one = low > 0.5 if k else None
+        near_one = low > 0.5
         np.negative(logs, out=logs)
-        if near_one is None or not near_one.any():
-            np.log1p(logs, out=logs)
-        else:
+        np.maximum(low, -0.5, out=low)  # log1p(-x) at x >= 1: inf, NaN and slow
+        np.log1p(logs, out=logs)
+        if near_one.any():
             if one_minus_e is None:
                 one_minus_e = -np.expm1(-y[:k])
-            if rest.size:
-                np.log1p(rest, out=rest)
-                r2 = r2[:k] if np.ndim(r2) else r2
-            np.log1p(low, out=low, where=~near_one)
+            r2 = r2[:k] if np.ndim(r2) else r2
             np.log((1.0 - r2) + r2 * one_minus_e, out=low, where=near_one)
         total += logs
     if len(rsq) == 1:

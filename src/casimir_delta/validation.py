@@ -202,8 +202,8 @@ def _ideal_T0_sphere() -> float:
 
 
 # thermodynamic identity P = -dF/da; Richardson-extrapolated central
-# difference, noise floor set by quadrature tolerance / differencing
-# conditioning (~a/h amplification), hence the 1e-6 band
+# difference, noise floor set by the sums' rounding and 1e-11 tail (no engine
+# value moves with TIGHT_Q) times the differencing's ~a/h, hence the 1e-6 band
 TIGHT_M = MatsubaraSpec(relative_tail_tolerance=1e-11)
 TIGHT_Q = QuadratureSpec(relative_tolerance=1e-11)
 

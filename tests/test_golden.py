@@ -7,14 +7,18 @@ not go through BLAS, so they do not depend on the CPU kernel OpenBLAS picks
 (CI runs this file under OPENBLAS_CORETYPE=Prescott too), but numpy's and
 libm's last bits may differ between builds, so they compare as parsed JSON:
 strings and bools equal, numbers to rel 1e-8 (one unit in the 9th printed
-digit).
+digit). A failure lists every mismatch of the file, not just the first.
 
-After an intended output change, rewrite the files with
-    PYTHONPATH=src python tests/test_golden.py
+After an intended output change, rewrite the files it changes, by name,
+with
+    PYTHONPATH=src python tests/test_golden.py NAME ...
+(NAME as under tests/golden/, e.g. validate.json; an unknown name is an
+error and rewrites nothing). With no name every file is rewritten.
 """
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -56,19 +60,33 @@ def _render(argv: list, path: Path) -> str:
     return path.read_text()
 
 
-def _assert_close(got, want, where: str = "") -> None:
+def _mismatches(got, want, where: str = ""):
+    """The place and values of each difference of got from want: keys and
+    types exact, floats to rel 1e-8."""
     if isinstance(want, dict):
-        assert isinstance(got, dict) and got.keys() == want.keys(), where
+        if not (isinstance(got, dict) and got.keys() == want.keys()):
+            yield f"{where}: not a dict with the keys {sorted(want)}"
+            return
         for key in want:
-            _assert_close(got[key], want[key], f"{where}.{key}")
+            yield from _mismatches(got[key], want[key], f"{where}.{key}")
     elif isinstance(want, list):
-        assert isinstance(got, list) and len(got) == len(want), where
+        if not (isinstance(got, list) and len(got) == len(want)):
+            yield f"{where}: {got!r} is not a list of {len(want)}"
+            return
         for i, (g, w) in enumerate(zip(got, want)):
-            _assert_close(g, w, f"{where}[{i}]")
+            yield from _mismatches(g, w, f"{where}[{i}]")
     elif isinstance(want, float) and not isinstance(got, bool):
-        assert math.isclose(got, want, rel_tol=1e-8, abs_tol=0.0), f"{where}: {got!r} != {want!r}"
-    else:
-        assert type(got) is type(want) and got == want, f"{where}: {got!r} != {want!r}"
+        if not (isinstance(got, (int, float))
+                and math.isclose(got, want, rel_tol=1e-8, abs_tol=0.0)):
+            yield f"{where}: {got!r} != {want!r}"
+    elif not (type(got) is type(want) and got == want):
+        yield f"{where}: {got!r} != {want!r}"
+
+
+def _assert_close(got, want) -> None:
+    """Every mismatch of got from want, in one assertion."""
+    mismatches = list(_mismatches(got, want))
+    assert not mismatches, "\n".join(mismatches)
 
 
 @pytest.mark.parametrize("name", sorted(EXACT))
@@ -83,6 +101,11 @@ def test_engine_output_matches_to_nine_digits(name, tmp_path):
 
 
 if __name__ == "__main__":
+    runs = {**EXACT, **NUMERIC}
+    names = sys.argv[1:] or list(runs)
+    unknown = [name for name in names if name not in runs]
+    if unknown:
+        sys.exit(f"unknown golden file(s): {', '.join(unknown)}")
     GOLDEN.mkdir(exist_ok=True)
-    for name, argv in {**EXACT, **NUMERIC}.items():
-        _render(argv, GOLDEN / name)
+    for name in names:
+        _render(runs[name], GOLDEN / name)

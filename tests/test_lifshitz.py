@@ -158,6 +158,51 @@ class TestPlasmaEngine:
         assert loose == pytest.approx(tight, rel=1e-5)
 
 
+def nonretarded_series():
+    """S = sum_k (4k-3)!! / ((4k-2)!! k^3) = 0.55521240562034...: the terms
+    fall like 0.4 k^-3.5, so 10^5 of them leave about 5e-14."""
+    def term(k):
+        # (4k-3)!! / (4k-2)!! = (4k-2)! / (2^(2k-1) (2k-1)!)^2
+        return math.exp(math.lgamma(4 * k - 1) - 2.0 * math.lgamma(2 * k)
+                        - (4 * k - 2) * math.log(2.0)) / k ** 3
+    return math.fsum(term(k) for k in range(1, 10 ** 5 + 1))
+
+
+class TestPlasmaExactLimits:
+    """The plasma engine against the limits it has in closed form (Bordag,
+    Mohideen & Mostepanenko, Phys. Rep. 353, 1 (2001))."""
+
+    @pytest.mark.parametrize("T", [1.0, 10.0])
+    def test_nonretarded_limit(self, T):
+        # a << lambda_p at T -> 0: E -> -(hbar w_s / (32 pi a^2)) S, w_s the
+        # surface plasmon frequency w_p / sqrt(2). E/E_nr - 1 reads -2.975e-5,
+        # -2.438e-4, -1.526e-3, -9.82e-3, -4.34e-2 and -0.156 on this grid
+        w_s = AU.plasma_frequency() / math.sqrt(2.0)
+        series = nonretarded_series()
+        deviations = []
+        for a in (10e-9, 3e-9, 1e-9, 0.3e-9, 0.1e-9, 0.03e-9):
+            e_nr = -CODATA2018.hbar * w_s / (32.0 * math.pi * a * a) * series
+            deviations.append(abs(plate_free_energy_per_area(a, T, AU) / e_nr - 1.0))
+        assert all(x > y for x, y in zip(deviations, deviations[1:])), deviations
+        assert deviations[-1] <= 1e-4  # w = 4 pi a / lambda_p = 2.8e-3
+
+    # y1 = 27 is left out: there orders n >= 1 still add 5e-12 to 1e-10
+    @pytest.mark.parametrize("a", [0.3e-6, 2e-6])
+    @pytest.mark.parametrize("y1", [110.0, 329.0])
+    def test_classical_limit(self, a, y1):
+        # y1 >> 1: only n = 0 is left, -2 pi R k_B T zeta(3) / (16 pi a^2)
+        # under the modified-TE zero and that plus the zero-frequency TE term,
+        # on its own Gauss-Legendre rule, under the plasma prescription's
+        # clamped n = 0 row. Measured within 4.4e-16 and 2.2e-16
+        T, R = temperature_at(a, 1.0 / y1), 1e-3
+        classical = -2.0 * math.pi * R * CODATA2018.k_B * T * ZETA3 / (16.0 * math.pi * a * a)
+        te0 = te_zero_frequency_sphere_term(a, T, R, AU.lambda_p)
+        assert sphere_plate_force_pfa(a, T, R, AU, MOD_TE) == pytest.approx(
+            classical, rel=1e-14, abs=0)
+        assert sphere_plate_force_pfa(a, T, R, AU, PLASMA) == pytest.approx(
+            classical + te0, rel=1e-14, abs=0)
+
+
 class TestApproachDifference:
     def test_equals_zero_frequency_te_term(self):
         # the two prescriptions differ by exactly the half-weighted n = 0 TE
@@ -818,6 +863,41 @@ class TestInPlaceBlocks:
                 assert_same_bits(arg, before)
         ideal = [[(), ()], [(), (u.shape[0], 1)]] if u[0, 0] == 0.0 else [[(), ()]]
         assert shapes[-1 - len(ideal):] == [*ideal, [()]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(lambda_p=log_uniform(1e-9, 1e-3), a=log_uniform(1e-8, 5e-6),
+           y1=log_uniform(1e-3, 30.0), first=st.integers(0, 300), rows=st.integers(1, 64),
+           ideal=st.booleans(), modified_te=st.booleans(), close=st.booleans(),
+           nodes=st.sampled_from(list(NODES)))
+    # row 0 of a head: r_TM^2 = 1 and e^-y rounds to 1 at the smallest nodes,
+    # so x = r^2 e^-y is 1 exactly there
+    @example(lambda_p=136e-9, a=0.3e-6, y1=0.8, first=0, rows=1, ideal=False,
+             modified_te=False, close=False, nodes="first")
+    # the close's first pass at 1/y1 = 65: orders 64..66 start below, at and
+    # past y = 1, and the outer limits below it again
+    @example(lambda_p=136e-9, a=1e-6, y1=1.0 / 65.0, first=0, rows=1, ideal=False,
+             modified_te=False, close=True, nodes="first")
+    def test_integrands_on_drawn_blocks(self, lambda_p, a, y1, first, rows, ideal, modified_te,
+                                        close, nodes):
+        # blocks as the engine builds them: r^2 from the textbook kernel, and
+        # in a block holding n = 0 the modified-TE zero or, under the plasma
+        # prescription, r_TE^2 clamped at 1; the ideal metal as one part
+        u = close_first_pass(y1) if close else (first + np.arange(rows, dtype=float))[:, None] * y1
+        y = u + self.NODES[nodes]
+        r_tm, r_te = textbook_fresnel(IdealMetal() if ideal else Plasma(lambda_p), u, y, 2.0 * a)
+        tm2, te2 = r_tm * r_tm, r_te * r_te
+        if u[0, 0] == 0.0 and modified_te:
+            te2 = np.full(np.broadcast_shapes(u.shape, np.shape(te2)), te2)
+            te2[0] = 0.0
+        elif u[0, 0] == 0.0 and not ideal:
+            np.minimum(te2[0], 1.0, out=te2[0])
+        rsq = (tm2, te2) if np.ndim(te2) else (tm2,)
+        for integrand, textbook in [(lifshitz._pressure_integrand, textbook_pressure),
+                                    (lifshitz._free_energy_integrand, textbook_free_energy)]:
+            kept = [np.copy(arg) for arg in (y, *rsq)]
+            assert_same_bits(integrand(y, rsq), textbook(y, rsq if len(rsq) == 2 else rsq * 2))
+            for arg, before in zip((y, *rsq), kept):
+                assert_same_bits(arg, before)
 
     def test_cold_block_takes_the_near_one_branch(self):
         # every cold row meets r_TM^2 e^-y > 1/2 at its inner nodes, none at all
