@@ -200,10 +200,11 @@ def build_parser() -> _Parser:
                          "order below it relative to the partial sum; a sum that would run "
                          "past 256 orders is closed analytically after 64 (default 1e-9)")
     pc.add_argument("--quad-tol", type=float, default=QuadratureSpec.relative_tolerance,
-                    help="quadrature tolerance, in (0, 1): bounds each order's error relative "
-                         "to that order, estimated as the square of its relative change from "
-                         "the rule at twice the step; one below the rounding of the rule's "
-                         "sums, about 2.9e-14, is a numerical error (default 1e-9)")
+                    help="quadrature tolerance, in (0, 1): bounds each order's error, and the "
+                         "zero-frequency TE term's, relative to that integral, estimated as the "
+                         "square of its relative change from the rule at twice the step; one "
+                         "below the rounding of the rule's sums, about 2.9e-14, is a numerical "
+                         "error (default 1e-9)")
 
     pv = sub.add_parser("validate", help="run the acceptance checklist")
     pv.add_argument("--format", choices=["text", "json"], default="text")

@@ -10,8 +10,8 @@ Euler-Maclaurin formula, whose integral over the continuous order runs on
 the same exp-sinh rule; every sum thus ends. This is the independent oracle
 every closed-form perturbative expression is checked against, so its default
 tolerances are set far below the acceptance bands (1e-9 vs 0.5-5%). The
-zero-frequency TE sphere term cross-checks the engine's n = 0 TE term on an
-independent fixed Gauss-Legendre rule, to the same quadrature tolerance.
+zero-frequency TE sphere term, by which the two prescriptions differ, is the
+plasma n = 0 TE row on the same rule, with the same acceptance test.
 Each public function runs its whole force, prefactor included, through one
 check: a force that is not finite is a ValueError that names the inputs.
 """
@@ -65,11 +65,10 @@ class QuadratureSpec:
     decays like exp(-y). relative_tolerance bounds, for each Matsubara order
     and for the zero-frequency TE term, the integral's error relative to the
     integral, estimated from its change against the rule at twice the step.
-    The orders' exp-sinh rule, whose error about squares when its step is
-    halved, takes the square of that relative change; a tolerance below the
-    rounding of its sums, 129 x eps ~ 2.9e-14, is a QuadratureError. The
-    zero-frequency TE term takes the relative change itself. Either also
-    passes when the change is at most ABSOLUTE_FLOOR.
+    The exp-sinh rule's error about squares when its step is halved, so each
+    integral takes the square of that relative change, and also passes when
+    the change is at most ABSOLUTE_FLOOR. A tolerance below the rounding of
+    the rule's sums, 129 x eps ~ 2.9e-14, is a QuadratureError.
     """
 
     relative_tolerance: float = 1e-9
@@ -113,26 +112,31 @@ _MAX_BLOCK = 64  # orders per block
 _CLOSE_AFTER = 4 * _MAX_BLOCK
 
 
-def _order_integrals(values: np.ndarray, quadrature: QuadratureSpec, label: str) -> np.ndarray:
-    """The rule's sum for each row of values, an (orders x nodes) block.
+def quad(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rule's sum for each row of values, an (orders x nodes) block, and
+    its change from the nested sum at twice the step, on every other node."""
+    # the sums over nodes are einsum, not @: a BLAS dgemv rounds differently
+    # on each CPU kernel OpenBLAS picks, and the engine's values must not
+    # depend on the machine
+    result = _STEP * np.einsum("ij,j->i", values, _WEIGHTS)
+    return result, np.abs(result - 2.0 * _STEP * np.einsum("ij,j->i", values[:, ::2], _WEIGHTS[::2]))
 
-    Each row's sum at step h is checked against the nested sum at 2h on every
-    other node. Halving a double-exponential step about squares the rule's
-    relative error (Mori & Sugihara, J. Comput. Appl. Math. 127, 287 (2001)),
-    so a row passes when its change squared is at most the quadrature
-    tolerance times its sum squared, or the change is at most ABSOLUTE_FLOOR.
-    A row that fails is a QuadratureError, as is a tolerance below the sums'
-    rounding; a value that is not finite fails, and is a FloatingPointError.
+
+def _order_integrals(values: np.ndarray, quadrature: QuadratureSpec, label: str) -> np.ndarray:
+    """quad's sum for each row of values, an (orders x nodes) block, checked.
+
+    Halving a double-exponential step about squares the rule's relative error
+    (Mori & Sugihara, J. Comput. Appl. Math. 127, 287 (2001)), so a row
+    passes when its change squared is at most the quadrature tolerance times
+    its sum squared, or the change is at most ABSOLUTE_FLOOR. A row that
+    fails is a QuadratureError, as is a tolerance below the sums' rounding;
+    a value that is not finite fails, and is a FloatingPointError.
     """
     tol = quadrature.relative_tolerance
     if tol < _ROUNDING:
         raise QuadratureError(f"{label}: quadrature tolerance {tol:.2e} is below the rule's "
                               f"rounding, {_ROUNDING:.2e}")
-    # the sums over nodes are einsum, not @: a BLAS dgemv rounds differently
-    # on each CPU kernel OpenBLAS picks, and the engine's values must not
-    # depend on the machine
-    result = _STEP * np.einsum("ij,j->i", values, _WEIGHTS)
-    change = np.abs(result - 2.0 * _STEP * np.einsum("ij,j->i", values[:, ::2], _WEIGHTS[::2]))
+    result, change = quad(values)
     # change^2 <= tol result^2 as change <= sqrt(tol) |result|, which no square
     # underflows; written so that a NaN counts as unmet
     unmet = ~(change <= np.maximum(math.sqrt(tol) * np.abs(result), ABSOLUTE_FLOOR))
@@ -387,36 +391,6 @@ def sphere_plate_force_pfa(
     ), a, T, R, getattr(model, "lambda_p", None))
 
 
-# The 10-point Gauss-Legendre rule on [-1, 1] (Abramowitz & Stegun 25.4.29): the positive
-# half of numpy.polynomial.legendre.leggauss(10), bit for bit; its other half is the mirror
-_GL_X = np.array([0.14887433898163122, 0.4333953941292472, 0.6794095682990244,
-                  0.8650633666889845, 0.9739065285171717])
-_GL_W = np.array([0.2955242247147528, 0.2692667193099965, 0.219086362515982,
-                  0.1494513491505804, 0.06667134430868814])
-
-
-def _gauss_legendre(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the 10-point rule on each panel between successive edges."""
-    x, w = np.r_[-_GL_X[::-1], _GL_X], np.r_[_GL_W[::-1], _GL_W]
-    half = 0.5 * np.diff(edges)[:, None]
-    return (edges[:-1, None] + half * (1.0 + x)).ravel(), (half * w).ravel()
-
-
-# The rule on the dyadic panels [0, 2^-20], [2^-20, 2^-19], ..., [32, 64] and
-# on each one halved, whose edges these are: they resolve the zero-frequency TE
-# integrand's y ln y at 0 and its y e^-y decay, and past y = 64 it is below
-# 1e-26 of its integral.
-_TE0_EDGES = np.interp(np.arange(55) / 2, np.arange(28), np.r_[0, 2.0 ** np.arange(-20, 7)])
-_TE0_RULES = (_gauss_legendre(_TE0_EDGES[::2]), _gauss_legendre(_TE0_EDGES))
-
-
-def quad(f: Callable[[np.ndarray], np.ndarray]) -> tuple[float, float]:
-    """Int_0^64 f(y) dy on the halved panels, and its change from the rule on
-    the whole panels. The sums are einsum, as in _order_integrals."""
-    coarse, fine = (float(np.einsum("i,i->", f(y), w)) for y, w in _TE0_RULES)
-    return fine, abs(fine - coarse)
-
-
 def te_zero_frequency_sphere_term(
     a: float,
     T: float,
@@ -427,17 +401,20 @@ def te_zero_frequency_sphere_term(
     """Zero-frequency TE contribution to the sphere-plate force, N.
 
     (k_B*T*R)/(8*a^2) * Int_0^inf y dy ln[1 - r_TE(y)^2 exp(-y)], with r_TE
-    from fresnel_coefficients at zero frequency and L = 2a, on quad's rule.
-    Negative (attractive); vanishing lambda_p recovers -k_B*T*zeta(3)*R/(8*a^2).
+    from fresnel_coefficients at zero frequency and L = 2a: the plasma
+    prescription's n = 0 TE row, r_TE^2 clamped at 1 as there, on the
+    engine's rule and its acceptance test. Negative (attractive); vanishing
+    lambda_p recovers -k_B*T*zeta(3)*R/(8*a^2).
     """
     def term(a: float, T: float, R: float) -> float:
         model = Plasma(lambda_p)  # checks lambda_p after a, T and R
-        integral, change = quad(lambda y: y * np.log1p(
-            -fresnel_coefficients(model, 0.0, y, 2.0 * a)[1] ** 2 * np.exp(-y)))
-        # a NaN fails both tests and is left to finite
-        if change > quadrature.relative_tolerance * abs(integral) and change > ABSOLUTE_FLOOR:
-            raise QuadratureError(f"zero-frequency TE term: not converged (value={integral:.6e}, "
-                                  f"change on halving the panels={change:.2e})")
-        return CODATA2018.k_B * T * R / (8.0 * a * a) * integral
+        y = _NODES[None, :]
+        r_te = fresnel_coefficients(model, 0.0, y, 2.0 * a)[1]
+        r_te *= r_te
+        np.minimum(r_te, 1.0, out=r_te)
+        # r_TM^2 = 0 makes the TM part exactly 0
+        [integral] = _order_integrals(_free_energy_integrand(y, (0.0, r_te)), quadrature,
+                                      "zero-frequency TE term")
+        return CODATA2018.k_B * T * R / (8.0 * a * a) * float(integral)
 
     return _checked("zero-frequency TE term", term, a, T, R, lambda_p)

@@ -954,8 +954,8 @@ def test_command_help_is_the_root_parsers(capsys):
 
 
 # Every command, validate included, and the zero-frequency TE cross-check run
-# on numpy alone; scipy is only a reference in the tests. The TE term's rule is
-# written out, so numpy.polynomial is not loaded either.
+# on numpy alone; scipy is only a reference in the tests. The engine's one rule
+# is built from numpy's elementary functions, so numpy.polynomial is not loaded either.
 COLD_START = """
 import json, sys
 from casimir_delta import cli, lifshitz

@@ -191,9 +191,9 @@ class TestPlasmaExactLimits:
     @pytest.mark.parametrize("y1", [110.0, 329.0])
     def test_classical_limit(self, a, y1):
         # y1 >> 1: only n = 0 is left, -2 pi R k_B T zeta(3) / (16 pi a^2)
-        # under the modified-TE zero and that plus the zero-frequency TE term,
-        # on its own Gauss-Legendre rule, under the plasma prescription's
-        # clamped n = 0 row. Measured within 4.4e-16 and 2.2e-16
+        # under the modified-TE zero and that plus the zero-frequency TE term
+        # under the plasma prescription's clamped n = 0 row. Measured within
+        # 4.4e-16 and 3.3e-16
         T, R = temperature_at(a, 1.0 / y1), 1e-3
         classical = -2.0 * math.pi * R * CODATA2018.k_B * T * ZETA3 / (16.0 * math.pi * a * a)
         te0 = te_zero_frequency_sphere_term(a, T, R, AU.lambda_p)
@@ -204,9 +204,13 @@ class TestPlasmaExactLimits:
 
 
 class TestApproachDifference:
+    """The prescriptions differ by the zero-frequency TE term, which shares the
+    engine's rule, Fresnel kernel and free-energy integrand: its independent
+    reference is scipy's QUADPACK on the textbook r, in
+    TestZeroFrequencyTeTerm.test_matches_adaptive_quadrature."""
+
     def test_equals_zero_frequency_te_term(self):
-        # the two prescriptions differ by exactly the half-weighted n = 0 TE
-        # term, computable independently by direct quadrature
+        # the two prescriptions differ by exactly the half-weighted n = 0 TE term
         a, T, R = 0.5e-6, 300.0, 1e-3
         f_plasma = sphere_plate_force_pfa(a, T, R, AU, PLASMA)
         f_mod = sphere_plate_force_pfa(a, T, R, AU, MOD_TE)
@@ -506,41 +510,46 @@ class TestZeroFrequencyTeTerm:
         gaps = [rel_gap(a) for a in (0.25e-6, 0.5e-6, 1.0e-6)]
         assert gaps[0] > gaps[1] > gaps[2]
 
-    @pytest.mark.parametrize("lambda_p", [1e-12, 100e-9, 136e-9, 500e-9])
-    def test_matches_adaptive_quadrature(self, lambda_p):
-        # scipy's QUADPACK on the textbook r = (y - k)/(y + k), a reference
-        # independent of both the Gauss-Legendre rule and the Fresnel kernel
+    @staticmethod
+    def adaptive_reference(a, T, R, lambda_p):
+        """scipy's QUADPACK on the textbook r = (y - k)/(y + k), a reference
+        independent of the engine's rule, Fresnel kernel and integrand."""
         from scipy.integrate import quad
 
+        w = 2.0 * a * Plasma(lambda_p).plasma_frequency() / CODATA2018.c
+
+        def f(y):
+            k = math.sqrt(w * w + y * y)
+            return y * math.log1p(-((y - k) / (y + k)) ** 2 * math.exp(-y))
+
+        integral = quad(f, 0.0, math.inf, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        return CODATA2018.k_B * T * R / (8.0 * a * a) * integral
+
+    @pytest.mark.parametrize("lambda_p", [1e-12, 100e-9, 136e-9, 500e-9])
+    def test_matches_adaptive_quadrature(self, lambda_p):
         T, R = 300.0, 1e-3
         for a in np.linspace(0.15e-6, 5e-6, 60):
-            w = 2.0 * a * Plasma(lambda_p).plasma_frequency() / CODATA2018.c
-
-            def f(y):
-                k = math.sqrt(w * w + y * y)
-                return y * math.log1p(-((y - k) / (y + k)) ** 2 * math.exp(-y))
-
-            integral = quad(f, 0.0, math.inf, epsabs=0.0, epsrel=1e-13, limit=200)[0]
-            ref = CODATA2018.k_B * T * R / (8.0 * a * a) * integral
             got = te_zero_frequency_sphere_term(a, T, R, lambda_p)
-            assert got == pytest.approx(ref, rel=1e-13, abs=0), a
+            assert got == pytest.approx(self.adaptive_reference(a, T, R, lambda_p),
+                                        rel=1e-13, abs=0), a
 
-    def test_rule_literals_are_leggauss_to_the_last_bit(self):
-        # the module writes the 10-point rule as literals, so that importing it
-        # does not load numpy.polynomial; leggauss stays the reference
-        x, w = np.polynomial.legendre.leggauss(10)
-        assert lifshitz._GL_X.tobytes() == x[5:].tobytes()
-        assert lifshitz._GL_W.tobytes() == w[5:].tobytes()
-        # the module mirrors them: leggauss's negative half is their exact mirror
-        assert x[:5].tobytes() == (-x[:4:-1]).tobytes() and w[:5].tobytes() == w[:4:-1].tobytes()
+    def test_r_te_past_one_at_the_smallest_nodes_is_clamped(self):
+        # gold at 1.153 um: the kernel's r_TE^2 rounds past 1 at the rule's
+        # smallest nodes, where 1 - r_TE^2 e^-y < 0 would make the log NaN
+        a, T, R, lambda_p = 1.153e-6, 300.0, 1e-3, 136e-9
+        r_te = fresnel_coefficients(Plasma(lambda_p), 0.0, lifshitz._NODES, 2.0 * a)[1]
+        assert r_te[0] ** 2 > 1.0
+        got = te_zero_frequency_sphere_term(a, T, R, lambda_p)  # a NaN is a ValueError
+        assert got == pytest.approx(self.adaptive_reference(a, T, R, lambda_p), rel=1e-13, abs=0)
 
-    def test_tolerance_below_the_rule_change_raises(self):
-        # the rule changes by about 2.7e-15 of the integral on halving its panels
+    def test_tolerance_below_the_rounding_raises(self):
+        # the TE term takes the engine's acceptance test and its floor, 129 x eps
         a, T, R = 0.5e-6, 300.0, 1e-3
         value = te_zero_frequency_sphere_term(a, T, R, 136e-9)
-        assert te_zero_frequency_sphere_term(a, T, R, 136e-9, QuadratureSpec(1e-13)) == value
+        floor = lifshitz._ROUNDING
+        assert te_zero_frequency_sphere_term(a, T, R, 136e-9, QuadratureSpec(floor)) == value
         with pytest.raises(lifshitz.QuadratureError, match="zero-frequency TE term"):
-            te_zero_frequency_sphere_term(a, T, R, 136e-9, QuadratureSpec(1e-15))
+            te_zero_frequency_sphere_term(a, T, R, 136e-9, QuadratureSpec(np.nextafter(floor, 0.0)))
 
     @pytest.mark.parametrize("lambda_p", [1e-169, 1e-300])
     def test_overflowing_kernel_names_the_inputs(self, lambda_p):
